@@ -20,7 +20,7 @@ object SparkCountJob {
       case "plus"     => Variant.Plus
       case _          => Variant.PlusPlus
     }
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"tbfc-$key")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -3,6 +3,7 @@ package repro.approx
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.{LocalAlgos, Variant}
+import repro.core.ButterflyType.addCounts
 import repro.graph.{LocalGraph, TemporalEdge}
 
 /** sGrappTBC / sGrappTBC+ / sGrappTBC++ (Appendix A).
@@ -54,11 +55,10 @@ object SGrappTBC {
       theta: Array[Double], alpha: Double = 1.2,
       variant: Variant = Variant.PlusPlus): Estimate = {
     val ws = windows(edges, nTW)
-    val within = new Array[Double](6)
+    val within = new Array[Long](6)
     var ec = 0L
     ws.foreach { w =>
-      val c = LocalAlgos.count(LocalGraph.fromEdges(w), delta, variant)
-      var i = 0; while (i < 6) { within(i) += c(i); i += 1 }
+      addCounts(within, LocalAlgos.count(LocalGraph.fromEdges(w), delta, variant))
       ec += w.length
     }
     val est = new Array[Double](6)
@@ -83,10 +83,7 @@ object SGrappTBC {
     val flat = prefix.flatten
     val exact = LocalAlgos.count(LocalGraph.fromEdges(flat), delta, variant)
     val within = new Array[Long](6)
-    prefix.foreach { w =>
-      val c = LocalAlgos.count(LocalGraph.fromEdges(w), delta, variant)
-      var i = 0; while (i < 6) { within(i) += c(i); i += 1 }
-    }
+    prefix.foreach(w => addCounts(within, LocalAlgos.count(LocalGraph.fromEdges(w), delta, variant)))
     val ec = flat.length.toDouble
     Array.tabulate(6) { i =>
       val inter = exact(i) - within(i)

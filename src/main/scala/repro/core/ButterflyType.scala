@@ -25,6 +25,12 @@ object ButterflyType {
 
   val NumTypes = 6
 
+  /** `into(i) += sign * c(i)` for each of the six types. */
+  def addCounts(into: Array[Long], c: Array[Long], sign: Long = 1L): Unit = {
+    var i = 0
+    while (i < NumTypes) { into(i) += sign * c(i); i += 1 }
+  }
+
   /** Coverage index for two normalized wedges: 0 non-overlap, 1 intersect,
     * 2 cover. `(isS, isA)` / `(jsS, jsA)` must be normalized (`ts < ta`) and
     * the "i" wedge is the one with the smaller start time.

@@ -37,14 +37,10 @@ object LocalCombine {
       deadline: Long = Long.MaxValue): Unit =
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, counts, null, deadline)
-      case Variant.Plus =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1)
-          SetCross.recurCount(sides, layer, delta, counts, () => new HPIndex(withMids = false), deadline)
-      case Variant.PlusPlus =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1)
-          SetCross.recurCount(sides, layer, delta, counts, () => new TreeIndex, deadline)
+      case Variant.Plus => SetCross.recurCount(
+        buildSides(wedges, delta), layer, delta, counts, () => new HPIndex(withMids = false), deadline)
+      case Variant.PlusPlus => SetCross.recurCount(
+        buildSides(wedges, delta), layer, delta, counts, () => new TreeIndex, deadline)
     }
 
   /** Enumerate butterflies of one group through `sink`. */
@@ -54,9 +50,7 @@ object LocalCombine {
       deadline: Long = Long.MaxValue): Unit =
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, null, sink, deadline)
-      case _ =>
-        val sides = buildSides(wedges, delta)
-        if (sides.length > 1) SetCross.recurEnum(sides, layer, delta, sink, deadline)
+      case _ => SetCross.recurEnum(buildSides(wedges, delta), layer, delta, sink, deadline)
     }
 
   /** The baseline "enumerate-filter-match" inner loop (Algorithm 1 lines

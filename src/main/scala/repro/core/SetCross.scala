@@ -1,6 +1,7 @@
 package repro.core
 
 import scala.collection.mutable.ArrayBuffer
+import repro.util.Sat
 
 /** A flat list of normalized wedges (`ts < ta`) sorted by wedge priority:
   * `ts` descending, then `ta` ascending (Definition 6 — lower priority, i.e.
@@ -81,30 +82,27 @@ object SetCross {
   def recurCount(
       sides: Array[Side], layer: Int, delta: Long,
       counts: Array[Long], mkIndex: () => WedgeIndex,
-      deadline: Long = Long.MaxValue): Unit = {
-    def go(lo: Int, hi: Int): Side =
-      if (hi - lo == 1) sides(lo)
-      else {
-        val mid = (lo + hi) >>> 1
-        val l = go(lo, mid)
-        val r = go(mid, hi)
-        cross(l, r, layer, delta, counts, mkIndex, null, deadline)
-        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
-      }
-    if (sides.length > 1) go(0, sides.length)
-  }
+      deadline: Long = Long.MaxValue): Unit =
+    recur(sides, (l, r) => cross(l, r, layer, delta, counts, mkIndex, null, deadline))
 
   /** Enumeration flavour of [[recurCount]] — TBE+ (Algorithm 5). */
   def recurEnum(
       sides: Array[Side], layer: Int, delta: Long,
-      sink: EnumSink, deadline: Long = Long.MaxValue): Unit = {
+      sink: EnumSink, deadline: Long = Long.MaxValue): Unit =
+    recur(sides, (l, r) =>
+      cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink, deadline))
+
+  /** Mergesort-style bottom-up recursion shared by both flavours:
+    * `crossPair` pairs two merged halves before they are merged themselves.
+    */
+  private def recur(sides: Array[Side], crossPair: (Side, Side) => Unit): Unit = {
     def go(lo: Int, hi: Int): Side =
       if (hi - lo == 1) sides(lo)
       else {
         val mid = (lo + hi) >>> 1
         val l = go(lo, mid)
         val r = go(mid, hi)
-        cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink, deadline)
+        crossPair(l, r)
         new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
       }
     if (sides.length > 1) go(0, sides.length)
@@ -147,8 +145,9 @@ object SetCross {
         if (System.nanoTime() > deadline) throw new BenchTimeout
         // Lemma 2: wedges whose end time exceeds maxn + delta can never
         // again satisfy the duration constraint.
+        val bound = Sat.add(maxn, delta)
         k = 0
-        while (k < 4) { idx(k).deleteAbove(maxn + delta); pre(k) = ptr(k); k += 1 }
+        while (k < 4) { idx(k).deleteAbove(bound); pre(k) = ptr(k); k += 1 }
         // Query every wedge whose start time equals maxn, *before* any of
         // them is inserted — equal start times never co-occur in a butterfly.
         k = 0
@@ -173,11 +172,11 @@ object SetCross {
               val curIsFwd = k == 0 || k == 2
               idx(samePartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
                 emitPair(sink, c ^ layer, curIsFwd, curMid, maxn, curTa,
-                  samePartnerIsFwd(k), omid, ots, ota)
+                  curIsFwd, omid, ots, ota)
               }
               idx(diffPartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
                 emitPair(sink, (3 + c) ^ layer, curIsFwd, curMid, maxn, curTa,
-                  !samePartnerIsFwd(k), omid, ots, ota)
+                  !curIsFwd, omid, ots, ota)
               }
             }
             p += 1
@@ -196,8 +195,6 @@ object SetCross {
       }
     }
   }
-
-  @inline private def samePartnerIsFwd(k: Int): Boolean = k == 0 || k == 2
 
   /** De-normalize the stored wedges back to raw leg order before emitting,
     * so instances carry the original (start-leg, end-leg) timestamps.

@@ -1,8 +1,7 @@
 package repro.core
 
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
-import repro.util.OrderStatTree
+import repro.util.{LongBuf, OrderStatTree}
 
 /** Index over already-processed wedges inside a SetCross() pass.
   *
@@ -46,7 +45,7 @@ trait WedgeIndex {
 /** The hashmap `HP` of TBC+ (Algorithm 3/4, Table 1): one ordered array of
   * end times per start time. Arrays stay sorted ascending by construction
   * (wedges with equal `ts` arrive in `ta`-ascending order and deletions pop
-  * from the back), so case c13/c15 resolve with one binary search per key.
+  * from the back), so case c13/c15 resolve with one rank query per key.
   *
   * Deliberately keeps the paper's cost profile: `deleteAbove` and
   * `countCases` traverse every live key — the per-key `alpha log(n/alpha)`
@@ -55,20 +54,8 @@ trait WedgeIndex {
 final class HPIndex(withMids: Boolean) extends WedgeIndex {
 
   private final class Bucket {
-    val ta: ArrayBuffer[Long] = new ArrayBuffer[Long]()
-    val mid: ArrayBuffer[Long] = if (withMids) new ArrayBuffer[Long]() else null
-    /** first position with ta > x (array ascending) */
-    def upperBound(x: Long): Int = {
-      var lo = 0; var hi = ta.length
-      while (lo < hi) { val m = (lo + hi) >>> 1; if (ta(m) <= x) lo = m + 1 else hi = m }
-      lo
-    }
-    /** first position with ta >= x */
-    def lowerBound(x: Long): Int = {
-      var lo = 0; var hi = ta.length
-      while (lo < hi) { val m = (lo + hi) >>> 1; if (ta(m) < x) lo = m + 1 else hi = m }
-      lo
-    }
+    val ta = new LongBuf
+    val mid: LongBuf = if (withMids) new LongBuf else null
   }
 
   private val map = mutable.HashMap.empty[Long, Bucket]
@@ -79,28 +66,21 @@ final class HPIndex(withMids: Boolean) extends WedgeIndex {
     if (withMids) b.mid += mid
   }
 
-  override def deleteAbove(bound: Long): Unit = {
-    var dead: List[Long] = Nil
-    map.foreach { case (ts, b) =>
-      var n = b.ta.length
-      while (n > 0 && b.ta(n - 1) > bound) {
-        b.ta.remove(n - 1)
-        if (withMids) b.mid.remove(n - 1)
-        n -= 1
+  override def deleteAbove(bound: Long): Unit =
+    map.filterInPlace { (_, b) =>
+      while (b.ta.nonEmpty && b.ta.last > bound) {
+        b.ta.pop()
+        if (withMids) b.mid.pop()
       }
-      if (n == 0) dead ::= ts
+      b.ta.nonEmpty
     }
-    dead.foreach(map.remove)
-  }
 
   override def countCases(curTa: Long, out: Array[Long]): Unit =
     map.foreach { case (ts, b) =>
       if (ts > curTa) out(0) += b.ta.length
       else if (ts < curTa) {
-        val ub = b.upperBound(curTa)   // entries [ub, len) have ta > curTa
-        val lb = b.lowerBound(curTa)   // entries [0, lb) have ta < curTa
-        out(1) += (b.ta.length - ub)
-        out(2) += lb
+        out(1) += b.ta.length - b.ta.rank(curTa, inclusive = true)  // ta > curTa
+        out(2) += b.ta.rank(curTa, inclusive = false)               // ta < curTa
       }
     }
 
@@ -137,19 +117,19 @@ final class TreeIndex extends WedgeIndex {
 
   private val taTree = new OrderStatTree
   private val tsTree = new OrderStatTree
-  private val byTa = mutable.HashMap.empty[Long, ArrayBuffer[Long]]
+  private val byTa = mutable.HashMap.empty[Long, LongBuf]
 
   override def insert(ts: Long, ta: Long, mid: Long): Unit = {
     taTree.insert(ta)
     tsTree.insert(ts)
-    byTa.getOrElseUpdate(ta, new ArrayBuffer[Long]()) += ts
+    byTa.getOrElseUpdate(ta, new LongBuf) += ts
   }
 
   override def deleteAbove(bound: Long): Unit =
     while (taTree.nonEmpty && taTree.maxKey > bound) {
       val ta = taTree.maxKey
       val stack = byTa(ta)
-      val ts = stack.remove(stack.length - 1)
+      val ts = stack.pop()
       if (stack.isEmpty) byTa.remove(ta)
       taTree.erase(ta)
       tsTree.erase(ts)

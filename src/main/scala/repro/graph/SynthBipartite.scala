@@ -49,10 +49,8 @@ object SynthBipartite {
     }
     private val total = cum(n - 1)
     def draw(): Int = {
-      val x = rnd.nextDouble() * total
-      var lo = 0; var hi = n - 1
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (cum(mid) < x) lo = mid + 1 else hi = mid }
-      lo
+      val i = java.util.Arrays.binarySearch(cum, rnd.nextDouble() * total)
+      math.min(if (i >= 0) i else -i - 1, n - 1)
     }
   }
 

@@ -1,7 +1,6 @@
 package repro.sparkdist
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
@@ -16,8 +15,8 @@ import repro.graph.TemporalEdge
   *
   *   1. model the temporal bipartite graph as a DataFrame of edges
   *      `(u, v, t)`;
-  *   2. compute the vertex priority of Definition 4 with an aggregate +
-  *      rank over (|E(x)|, id);
+  *   2. compute the vertex priority of Definition 4 as the order on
+  *      (|E(x)|, id), from one degree aggregate;
   *   3. enumerate wedges with one self-join restricted by priority — the
   *      distributed equivalent of Algorithm 2 lines 6–7, including the
   *      Lemma 1 pruning for the optimized variants;
@@ -51,24 +50,25 @@ object SparkButterfly {
       .select(($"u" * 2).as("src"), ($"v" * 2 + 1).as("dst"), $"t")
       .union(edges.select(($"v" * 2 + 1).as("src"), ($"u" * 2).as("dst"), $"t"))
 
-    // Vertex priority (Definition 4): dense rank by (degree, id). The global
-    // window funnels through one partition — fine at repro scale, and it is
-    // the only global step in the pipeline.
+    // Vertex priority (Definition 4): the total order on (degree, id),
+    // compared in the join predicate. No global ranking step is needed.
     val deg = he.groupBy($"src".as("vid"))
       .agg(org.apache.spark.sql.functions.count(lit(1)).as("deg"))
-    val pri = deg.select($"vid", row_number().over(Window.orderBy($"deg", $"vid")).as("pri"))
 
     val h = he
-      .join(pri.select($"vid".as("src"), $"pri".as("psrc")), "src")
-      .join(pri.select($"vid".as("dst"), $"pri".as("pdst")), "dst")
+      .join(deg.select($"vid".as("src"), $"deg".as("dsrc")), "src")
+      .join(deg.select($"vid".as("dst"), $"deg".as("ddst")), "dst")
 
     val left  = h.select($"src".as("a"), $"dst".as("m"), $"t".as("t1"),
-                         $"psrc".as("pa"), $"pdst".as("pm"))
+                         $"dsrc".as("da"), $"ddst".as("dm"))
     val right = h.select($"src".as("m2"), $"dst".as("w"), $"t".as("t2"),
-                         $"pdst".as("pw"))
+                         $"ddst".as("dw"))
 
+    def above(d1: Column, id1: Column, d2: Column, id2: Column): Column =
+      d1 > d2 || (d1 === d2 && id1 > id2)
     val joined = left
-      .join(right, $"m" === $"m2" && $"pa" > $"pm" && $"pa" > $"pw")
+      .join(right, $"m" === $"m2" &&
+        above($"da", $"a", $"dm", $"m") && above($"da", $"a", $"dw", $"w"))
       .select($"a", $"w", $"m", $"t1", $"t2")
 
     val pruned =
@@ -85,8 +85,7 @@ object SparkButterfly {
       .groupByKey(r => (r.a, r.w))
       .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
         val a = key._1
-        val buf = new ArrayBuffer[(Long, Long, Long)]()
-        it.foreach(r => buf += ((r.m, r.t1, r.t2)))
+        val buf = it.map(r => (r.m, r.t1, r.t2)).to(ArrayBuffer)
         if (buf.length < 2) Iterator.empty
         else {
           val counts = new Array[Long](6)
@@ -120,8 +119,7 @@ object SparkButterfly {
       .groupByKey(r => (r.a, r.w))
       .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
         val (a, w) = key
-        val buf = new ArrayBuffer[(Long, Long, Long)]()
-        it.foreach(r => buf += ((r.m, r.t1, r.t2)))
+        val buf = it.map(r => (r.m, r.t1, r.t2)).to(ArrayBuffer)
         if (buf.length < 2) Iterator.empty
         else {
           val layer = (a & 1L).toInt

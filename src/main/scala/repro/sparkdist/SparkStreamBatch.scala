@@ -2,6 +2,7 @@ package repro.sparkdist
 
 import org.apache.spark.sql.SparkSession
 
+import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
 import repro.stream.{STBCPlus, StreamGraph}
 
@@ -40,19 +41,12 @@ object SparkStreamBatch {
           val g = new StreamGraph
           bc.value.foreach(g.insert)
           val local = new Array[Long](6)
-          it.foreach { e =>
-            val c = STBCPlus.countExtreme(g, e, delta, asMin)
-            var i = 0
-            while (i < 6) { local(i) += c(i); i += 1 }
-          }
+          it.foreach(e => addCounts(local, STBCPlus.countExtreme(g, e, delta, asMin)))
           Iterator.single(local)
         }
         .collect()
       val total = new Array[Long](6)
-      partials.foreach { c =>
-        var i = 0
-        while (i < 6) { total(i) += c(i); i += 1 }
-      }
+      partials.foreach(addCounts(total, _))
       total
     } finally bc.destroy()
   }

@@ -3,8 +3,9 @@ package repro.stream
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
-import repro.core.{SetCross, Side, TreeIndex, WList}
+import repro.core.{LocalCombine, Variant}
 import repro.graph.TemporalEdge
+import repro.util.Sat
 
 /** STBC (Algorithm 7): exact incremental counting of the temporal
   * butterflies that contain one given edge, for single-edge stream updates.
@@ -17,7 +18,8 @@ import repro.graph.TemporalEdge
   *   - a wedge `u -> x -> w` through some other middle-vertex `x != v`,
   *
   * so per end-vertex `w` we run one SetCross between the `via-v` set and
-  * the merged `via-other` set — the two-wedge-set simplification of § 5.
+  * the merged `via-other` set — the two-wedge-set simplification of § 5,
+  * built and crossed by the static TBC++ combine.
   * Traversal ranges are compressed to `[t - delta, t + delta]` (and the
   * second hop to `[max(t,t') - delta, min(t,t') + delta]`) via binary
   * search on the time-sorted adjacency queues.
@@ -31,52 +33,35 @@ object STBC {
     val counts = new Array[Long](6)
     val uKey = g.upperKey(e.u)
     val vKey = g.lowerKey(e.v)
-    val su = g.slot(uKey)
-    val sv = g.slot(vKey)
     val t = e.t
+    val lo = Sat.add(t, -delta)
+    val hi = Sat.add(t, delta)
 
-    // end-vertex key -> (wedges through v with first leg e, wedges through x != v)
-    val h = mutable.HashMap.empty[Long, (ArrayBuffer[(Long, Long, Long)], ArrayBuffer[(Long, Long, Long)])]
-    def entry(w: Long) = h.getOrElseUpdate(w, (new ArrayBuffer, new ArrayBuffer))
-
-    g.foreachInRange(su, t - delta, loStrict = false, t + delta, hiStrict = false) { (xKey, t1) =>
+    // end-vertex key -> raw wedges `(mid, s, a)`, whose `mid` slot carries
+    // the side label: 0 = through v with first leg e, 1 = through x != v.
+    // Only end-vertices reached through v can close a butterfly with e.
+    val h = mutable.HashMap.empty[Long, ArrayBuffer[(Long, Long, Long)]]
+    g.foreachInRange(g.slot(vKey), lo, loStrict = false, hi, hiStrict = false) { (wKey, t2) =>
+      if (wKey != uKey && t2 != t)
+        h.getOrElseUpdate(wKey, new ArrayBuffer) += ((0L, t, t2))
+    }
+    g.foreachInRange(g.slot(uKey), lo, loStrict = false, hi, hiStrict = false) { (xKey, t1) =>
       if (xKey != vKey && t1 != t) {
-        val lo = math.max(t, t1) - delta
-        val hi = math.min(t, t1) + delta
-        g.foreachInRange(g.slot(xKey), lo, loStrict = false, hi, hiStrict = false) { (wKey, t2) =>
+        val lo2 = Sat.add(math.max(t, t1), -delta)
+        val hi2 = Sat.add(math.min(t, t1), delta)
+        g.foreachInRange(g.slot(xKey), lo2, loStrict = false, hi2, hiStrict = false) { (wKey, t2) =>
           if (wKey != uKey && t2 != t && t2 != t1)
-            entry(wKey)._2 += ((xKey, t1, t2))
+            h.get(wKey).foreach(_ += ((1L, t1, t2)))
         }
       }
     }
-    g.foreachInRange(sv, t - delta, loStrict = false, t + delta, hiStrict = false) { (wKey, t2) =>
-      if (wKey != uKey && t2 != t)
-        entry(wKey)._1 += ((vKey, t, t2))
-    }
 
-    h.foreach { case (_, (viaV, viaOther)) =>
-      if (viaV.nonEmpty && viaOther.nonEmpty) {
-        val sideV = sideFromRaw(viaV, delta)
-        val sideO = sideFromRaw(viaOther, delta)
-        // start-vertex is the upper endpoint, so layer = 0
-        SetCross.cross(sideV, sideO, layer = 0, delta, counts, () => new TreeIndex, sink = null)
-      }
+    // The two labels become the two wedge sets of LocalCombine.buildSides,
+    // and the start-vertex is the upper endpoint, so layer = 0. Via-v wedges
+    // come first, so a label-1 last wedge means both sets are non-empty.
+    h.foreach { case (_, ws) =>
+      if (ws.last._1 == 1L) LocalCombine.count(ws, layer = 0, delta, Variant.PlusPlus, counts)
     }
     counts
-  }
-
-  /** Normalize + Lemma-1-prune raw wedges `(mid, s, a)` into one wedge set,
-    * possibly spanning several middle-vertices (which is safe here: the two
-    * sides crossed always have disjoint middles).
-    */
-  private[stream] def sideFromRaw(raw: ArrayBuffer[(Long, Long, Long)], delta: Long): Side = {
-    val fa = new ArrayBuffer[(Long, Long)]()
-    val fd = new ArrayBuffer[(Long, Long)]()
-    raw.foreach { case (_, s, a) =>
-      if (s != a && math.abs(a - s) <= delta) {
-        if (s < a) fa += ((s, a)) else fd += ((a, s))
-      }
-    }
-    new Side(WList.sorted(fa, 0L), WList.sorted(fd, 0L))
   }
 }

@@ -2,9 +2,10 @@ package repro.stream
 
 import java.util.concurrent.{Callable, Executors, TimeUnit}
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
+import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
+import repro.util.{LongBuf, Sat}
 
 /** STBC+ (Algorithm 8): batch stream updates with multi-core parallelism.
   *
@@ -35,23 +36,22 @@ object STBCPlus {
     * `VA` (end legs), sorted independently.
     */
   private final class DirArrays {
-    val vs = new ArrayBuffer[Long]()
-    val va = new ArrayBuffer[Long]()
+    val vs = new LongBuf
+    val va = new LongBuf
     def sortInPlace(): Unit = { vs.sortInPlace(); va.sortInPlace() }
-  }
 
-  private def countLess(xs: ArrayBuffer[Long], x: Long): Int = {
-    var lo = 0; var hi = xs.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (xs(m) < x) lo = m + 1 else hi = m }
-    lo
+    /** Add the coverage cases of a via-v wedge with end leg `a` versus these
+      * wedges into `counts(base + 0..2)`. That wedge is forward with the
+      * globally minimal start leg, so each case is a rank query (cf. Query()
+      * of Algorithm 4); c13 = #(vs < a) - #(va <= a) because `va <= a`
+      * implies `vs < a`.
+      */
+    def addCases(a: Long, counts: Array[Long], base: Int): Unit = {
+      counts(base) += vs.length - vs.rank(a, inclusive = true)                       // c11
+      counts(base + 1) += vs.rank(a, inclusive = false) - va.rank(a, inclusive = true) // c13
+      counts(base + 2) += va.rank(a, inclusive = false)                                // c15
+    }
   }
-  private def countLessOrEqual(xs: ArrayBuffer[Long], x: Long): Int = {
-    var lo = 0; var hi = xs.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (xs(m) <= x) lo = m + 1 else hi = m }
-    lo
-  }
-  private def countGreater(xs: ArrayBuffer[Long], x: Long): Int = xs.length - countLessOrEqual(xs, x)
-  private def countGreaterOrEqual(xs: ArrayBuffer[Long], x: Long): Int = xs.length - countLess(xs, x)
 
   /** Count the butterflies in which `e` carries the strict minimum
     * timestamp (`asMin = true`) or strict maximum (`asMin = false`).
@@ -65,17 +65,16 @@ object STBCPlus {
     // Under time reversal every collected timestamp is negated; `sgn`
     // folds that into the collection step.
     val sgn = if (asMin) 1L else -1L
-    val (lo, hi) = if (asMin) (t, t + delta) else (t - delta, t)
-    val loStrict = asMin
-    val hiStrict = !asMin
+    // The range excludes `t` itself: (t, t + delta] or [t - delta, t).
+    val (lo, hi) = if (asMin) (t, Sat.add(t, delta)) else (Sat.add(t, -delta), t)
 
     // end-vertex -> (via-v end legs, via-other wedges split by direction)
-    val h = mutable.HashMap.empty[Long, (ArrayBuffer[Long], DirArrays, DirArrays)]
-    def entry(w: Long) = h.getOrElseUpdate(w, (new ArrayBuffer[Long](), new DirArrays, new DirArrays))
+    val h = mutable.HashMap.empty[Long, (LongBuf, DirArrays, DirArrays)]
+    def entry(w: Long) = h.getOrElseUpdate(w, (new LongBuf, new DirArrays, new DirArrays))
 
-    g.foreachInRange(g.slot(uKey), lo, loStrict, hi, hiStrict) { (xKey, t1) =>
+    g.foreachInRange(g.slot(uKey), lo, asMin, hi, !asMin) { (xKey, t1) =>
       if (xKey != vKey) {
-        g.foreachInRange(g.slot(xKey), lo, loStrict, hi, hiStrict) { (wKey, t2) =>
+        g.foreachInRange(g.slot(xKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
           if (wKey != uKey && t2 != t1) {
             val (_, fwd, bwd) = entry(wKey)
             val s = sgn * t1; val a = sgn * t2
@@ -86,23 +85,18 @@ object STBCPlus {
         }
       }
     }
-    g.foreachInRange(g.slot(vKey), lo, loStrict, hi, hiStrict) { (wKey, t2) =>
+    g.foreachInRange(g.slot(vKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
       if (wKey != uKey) entry(wKey)._1 += sgn * t2
     }
 
     h.foreach { case (_, (viaV, fwd, bwd)) =>
       if (viaV.nonEmpty && (fwd.vs.nonEmpty || bwd.vs.nonEmpty)) {
         fwd.sortInPlace(); bwd.sortInPlace()
-        viaV.foreach { a =>
-          // The via-v wedge (sgn*t, a) is forward with the globally minimal
-          // start leg, so versus same-direction (fwd) wedges the coverage
-          // cases reduce to rank queries (cf. Query() of Algorithm 4):
-          counts(0) += countGreater(fwd.vs, a)                                // c11
-          counts(1) += countGreater(fwd.va, a) - countGreaterOrEqual(fwd.vs, a) // c13
-          counts(2) += countLess(fwd.va, a)                                   // c15
-          counts(3) += countGreater(bwd.vs, a)
-          counts(4) += countGreater(bwd.va, a) - countGreaterOrEqual(bwd.vs, a)
-          counts(5) += countLess(bwd.va, a)
+        var i = 0
+        while (i < viaV.length) {
+          fwd.addCases(viaV(i), counts, 0)
+          bwd.addCases(viaV(i), counts, 3)
+          i += 1
         }
       }
     }
@@ -113,42 +107,30 @@ object STBCPlus {
   private def batchCount(
       g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
       asMin: Boolean, threads: Int): Array[Long] = {
-    val total = new Array[Long](6)
-    if (batch.isEmpty) return total
     val nThreads = math.max(1, threads)
-    if (nThreads == 1) {
-      batch.foreach { e =>
-        val c = countExtreme(g, e, delta, asMin)
-        var i = 0; while (i < 6) { total(i) += c(i); i += 1 }
+    // Worker k takes batch edges k, k + nThreads, ... into its own counts.
+    def work(k: Int): Array[Long] = {
+      val local = new Array[Long](6)
+      var i = k
+      while (i < batch.length) {
+        addCounts(local, countExtreme(g, batch(i), delta, asMin))
+        i += nThreads
       }
-      total
-    } else {
+      local
+    }
+    if (nThreads == 1 || batch.isEmpty) work(0)
+    else {
       val pool = Executors.newFixedThreadPool(nThreads)
       try {
-        val tasks = (0 until nThreads).map { k =>
-          new Callable[Array[Long]] {
-            def call(): Array[Long] = {
-              val local = new Array[Long](6)
-              var i = k
-              while (i < batch.length) {
-                val c = countExtreme(g, batch(i), delta, asMin)
-                var j = 0; while (j < 6) { local(j) += c(j); j += 1 }
-                i += nThreads
-              }
-              local
-            }
-          }
-        }
+        val tasks = (0 until nThreads).map(k => new Callable[Array[Long]] { def call(): Array[Long] = work(k) })
+        val total = new Array[Long](6)
         import scala.jdk.CollectionConverters._
-        pool.invokeAll(tasks.asJava).asScala.foreach { fut =>
-          val c = fut.get()
-          var i = 0; while (i < 6) { total(i) += c(i); i += 1 }
-        }
+        pool.invokeAll(tasks.asJava).asScala.foreach(fut => addCounts(total, fut.get()))
+        total
       } finally {
         pool.shutdown()
         pool.awaitTermination(1, TimeUnit.HOURS)
       }
-      total
     }
   }
 

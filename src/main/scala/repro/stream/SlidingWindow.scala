@@ -1,5 +1,6 @@
 package repro.stream
 
+import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
 
 /** Sliding-window streaming temporal butterfly counting (§ 6.2).
@@ -29,30 +30,27 @@ object SlidingWindow {
     val g = new StreamGraph
     val counts = new Array[Long](6)
 
-    def add(c: Array[Long]): Unit = { var i = 0; while (i < 6) { counts(i) += c(i); i += 1 } }
-    def sub(c: Array[Long]): Unit = { var i = 0; while (i < 6) { counts(i) -= c(i); i += 1 } }
-
     def insertRange(lo: Int, hi: Int): Unit =
       if (threads == 0) {
         var i = lo
         while (i < hi) {
           val e = edges(i)
           g.insert(e)
-          add(STBC.countContaining(g, e, delta))
+          addCounts(counts, STBC.countContaining(g, e, delta))
           i += 1
         }
-      } else add(STBCPlus.insertBatch(g, edges.slice(lo, hi), delta, threads))
+      } else addCounts(counts, STBCPlus.insertBatch(g, edges.slice(lo, hi), delta, threads))
 
     def deleteRange(lo: Int, hi: Int): Unit =
       if (threads == 0) {
         var i = lo
         while (i < hi) {
           val e = edges(i)
-          sub(STBC.countContaining(g, e, delta))
+          addCounts(counts, STBC.countContaining(g, e, delta), sign = -1L)
           g.delete(e)
           i += 1
         }
-      } else sub(STBCPlus.deleteBatch(g, edges.slice(lo, hi), delta, threads))
+      } else addCounts(counts, STBCPlus.deleteBatch(g, edges.slice(lo, hi), delta, threads), sign = -1L)
 
     val firstEnd = math.min(window, edges.length)
     insertRange(0, firstEnd)

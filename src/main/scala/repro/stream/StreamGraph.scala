@@ -4,13 +4,14 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import repro.graph.TemporalEdge
+import repro.util.LongBuf
 
 /** Mutable temporal bipartite graph for the stream setting (§ 5).
   *
   * Edges arrive in chronological order (the graph-stream assumption of the
   * paper, § 6 "we assume that edges arrive in chronological order") and are
   * deleted oldest-first by the sliding window. Each vertex keeps its
-  * incident edges in a time-sorted array with a head offset, so:
+  * incident edges in a time-sorted [[LongBuf]] queue, so:
   *
   *   - insertion is an O(1) append (timestamps only grow),
   *   - deleting the globally-oldest edge is an O(1) head bump,
@@ -23,9 +24,8 @@ import repro.graph.TemporalEdge
 final class StreamGraph {
 
   private val slotOf = mutable.HashMap.empty[Long, Int]
-  private val nbrs  = ArrayBuffer.empty[ArrayBuffer[Long]] // neighbor keys
-  private val times = ArrayBuffer.empty[ArrayBuffer[Long]] // parallel timestamps
-  private val heads = ArrayBuffer.empty[Int]               // live-range start
+  private val nbrs  = ArrayBuffer.empty[LongBuf] // neighbor keys
+  private val times = ArrayBuffer.empty[LongBuf] // parallel timestamps
 
   @inline def upperKey(u: Long): Long = u * 2
   @inline def lowerKey(v: Long): Long = v * 2 + 1
@@ -35,14 +35,13 @@ final class StreamGraph {
 
   private def ensure(key: Long): Int =
     slotOf.getOrElseUpdate(key, {
-      nbrs += new ArrayBuffer[Long]()
-      times += new ArrayBuffer[Long]()
-      heads += 0
+      nbrs += new LongBuf
+      times += new LongBuf
       nbrs.length - 1
     })
 
   /** Number of live edges incident to slot `s`. */
-  def liveDegree(s: Int): Int = if (s < 0) 0 else nbrs(s).length - heads(s)
+  def liveDegree(s: Int): Int = if (s < 0) 0 else nbrs(s).length
 
   /** Total number of live edges. */
   def numEdges: Long = {
@@ -54,8 +53,8 @@ final class StreamGraph {
 
   private def append(s: Int, nk: Long, t: Long): Unit = {
     val ts = times(s)
-    require(ts.isEmpty || t >= ts(ts.length - 1),
-      s"stream graph requires chronological insertion (got $t after ${ts(ts.length - 1)})")
+    require(ts.isEmpty || t >= ts.last,
+      s"stream graph requires chronological insertion (got $t after ${ts.last})")
     nbrs(s) += nk
     ts += t
   }
@@ -70,62 +69,30 @@ final class StreamGraph {
     append(b, upperKey(e.u), e.t)
   }
 
-  /** Delete one edge. O(1) when it is the oldest live edge of both
-    * endpoints (the sliding-window case); falls back to a linear splice.
+  /** Delete one edge in O(1). It must be the oldest live edge of both
+    * endpoints, as it is when edges expire in arrival order.
     */
   def delete(e: TemporalEdge): Unit = {
-    removeHalf(slotOf(upperKey(e.u)), lowerKey(e.v), e.t)
-    removeHalf(slotOf(lowerKey(e.v)), upperKey(e.u), e.t)
+    val a = slot(upperKey(e.u))
+    val b = slot(lowerKey(e.v))
+    require(isOldest(a, lowerKey(e.v), e.t) && isOldest(b, upperKey(e.u), e.t),
+      s"stream graph deletes only the oldest live edge of both endpoints (got $e)")
+    nbrs(a).dropFront(1); times(a).dropFront(1)
+    nbrs(b).dropFront(1); times(b).dropFront(1)
   }
 
-  private def removeHalf(s: Int, nk: Long, t: Long): Unit = {
-    val h = heads(s)
-    val nb = nbrs(s); val ts = times(s)
-    if (h < nb.length && nb(h) == nk && ts(h) == t) {
-      heads(s) = h + 1
-      maybeCompact(s)
-    } else {
-      var i = h
-      var found = -1
-      while (found < 0 && i < nb.length) {
-        if (nb(i) == nk && ts(i) == t) found = i
-        i += 1
-      }
-      require(found >= 0, s"edge to slot-$s nbr=$nk t=$t not present")
-      nb.remove(found); ts.remove(found)
-    }
-  }
-
-  private def maybeCompact(s: Int): Unit = {
-    val h = heads(s)
-    if (h > 64 && h * 2 > nbrs(s).length) {
-      nbrs(s) = nbrs(s).drop(h)
-      times(s) = times(s).drop(h)
-      heads(s) = 0
-    }
-  }
+  private def isOldest(s: Int, nk: Long, t: Long): Boolean =
+    s >= 0 && nbrs(s).nonEmpty && nbrs(s)(0) == nk && times(s)(0) == t
 
   /** Visit live incident edges of slot `s` with timestamp in the interval
-    * bounded by `lo`/`hi` (each strict or inclusive). Binary-searches the
-    * left boundary and stops at the right one.
+    * bounded by `lo`/`hi` (each strict or inclusive), in time order.
     */
   def foreachInRange(s: Int, lo: Long, loStrict: Boolean, hi: Long, hiStrict: Boolean)(
       f: (Long, Long) => Unit): Unit = {
     if (s < 0) return
     val nb = nbrs(s); val ts = times(s)
-    var a = heads(s); var b = ts.length
-    // first live index with ts >= lo (or > lo when strict)
-    while (a < b) {
-      val m = (a + b) >>> 1
-      val below = if (loStrict) ts(m) <= lo else ts(m) < lo
-      if (below) a = m + 1 else b = m
-    }
-    var i = a
-    var stop = false
-    while (i < ts.length && !stop) {
-      val t = ts(i)
-      if (if (hiStrict) t >= hi else t > hi) stop = true
-      else { f(nb(i), t); i += 1 }
-    }
+    var i = ts.rank(lo, inclusive = loStrict)
+    val end = ts.rank(hi, inclusive = !hiStrict, from = i)
+    while (i < end) { f(nb(i), ts(i)); i += 1 }
   }
 }

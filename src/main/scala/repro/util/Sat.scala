@@ -1,0 +1,17 @@
+package repro.util
+
+/** Saturating `Long` arithmetic for time bounds such as `t + delta`.
+  *
+  * A bound past the `Long` range clamps to `Long.MaxValue`/`MinValue`
+  * instead of wrapping to the other end. Clamping is exact for the range
+  * and deletion bounds it feeds: no timestamp lies beyond either end, so
+  * `delta = Long.MaxValue` simply means "no duration constraint". Lower
+  * bounds are written `add(t, -delta)`, which is exact for `delta >= 0`.
+  */
+object Sat {
+
+  def add(a: Long, b: Long): Long = {
+    val r = a + b
+    if (((a ^ r) & (b ^ r)) < 0) (if (b > 0) Long.MaxValue else Long.MinValue) else r
+  }
+}

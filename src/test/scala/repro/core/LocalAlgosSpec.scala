@@ -59,6 +59,19 @@ class LocalAlgosSpec extends AnyFunSuite {
     assert(LocalAlgos.tbc(LocalGraph.fromEdges(edges), 10).sum == 0)
   }
 
+  // Bounds such as `maxn + delta` must saturate: wrapping once made every
+  // optimized variant return zero on these inputs.
+  for ((label, shift, delta) <- Seq(
+      ("delta = Long.MaxValue", 0L, Long.MaxValue),
+      ("timestamps near Long.MaxValue", Long.MaxValue - 100, 100L)))
+    test(s"time bounds do not overflow: $label") {
+      val edges = TestUtil.singleButterfly(10, 20, 30, 40).map(e => e.copy(t = e.t + shift))
+      val g = LocalGraph.fromEdges(edges)
+      checkAll(edges, delta, label)
+      assert(BruteForce.countByType(edges, delta).toSeq == Seq(1L, 0L, 0L, 0L, 0L, 0L))
+      assert(LocalAlgos.tbePlus(g, delta, collect = false)._1 == 1L, s"$label TBE+")
+    }
+
   test("equal timestamps kill the butterfly") {
     val edges = TestUtil.singleButterfly(1, 2, 2, 4)
     checkAll(edges, 100, "equal stamps")

@@ -44,6 +44,19 @@ class StreamSpec extends AnyFunSuite {
     assert(seen == 50)
   }
 
+  test("stream graph deletes only the oldest live edge of both endpoints") {
+    val g = new StreamGraph
+    val edges = Seq(TemporalEdge(0, 0, 1), TemporalEdge(0, 1, 2), TemporalEdge(1, 1, 3))
+    edges.foreach(g.insert)
+    // oldest edge of lower vertex 1, but not of upper vertex 0
+    intercept[IllegalArgumentException](g.delete(edges(1)))
+    intercept[IllegalArgumentException](g.delete(TemporalEdge(0, 0, 9)))
+    intercept[IllegalArgumentException](g.delete(TemporalEdge(7, 7, 1)))
+    assert(g.numEdges == 3)
+    edges.foreach(g.delete)
+    assert(g.numEdges == 0)
+  }
+
   test("stream graph range query boundary semantics") {
     val g = new StreamGraph
     Seq(1L, 3L, 5L, 7L).foreach(t => g.insert(TemporalEdge(0, t, t)))
@@ -94,6 +107,24 @@ class StreamSpec extends AnyFunSuite {
         g.delete(e)
       }
       assert(counts.forall(_ == 0L), s"leftover: ${counts.mkString(",")}")
+    }
+
+  // Range bounds such as `t + delta` must saturate: wrapping once made STBC
+  // and STBC+ return zero on these inputs.
+  for ((label, shift, delta) <- Seq(
+      ("delta = Long.MaxValue", 0L, Long.MaxValue),
+      ("timestamps near Long.MaxValue", Long.MaxValue - 100, 100L)))
+    test(s"stream counters do not overflow time bounds: $label") {
+      val edges = TestUtil.singleButterfly(10, 20, 30, 40).map(e => e.copy(t = e.t + shift)).sortBy(_.t)
+      val want = BruteForce.countByType(edges, delta)
+      assert(want.sum == 1L)
+      val g = new StreamGraph
+      edges.foreach(g.insert)
+      TestUtil.assertCountsEqual(want, STBC.countContaining(g, edges.head, delta), s"$label STBC first")
+      TestUtil.assertCountsEqual(want, STBC.countContaining(g, edges.last, delta), s"$label STBC last")
+      val g2 = new StreamGraph
+      TestUtil.assertCountsEqual(want, STBCPlus.insertBatch(g2, edges, delta), s"$label STBC+ insert")
+      TestUtil.assertCountsEqual(want, STBCPlus.deleteBatch(g2, edges, delta), s"$label STBC+ delete")
     }
 
   // ---------- STBC+: batch counting ----------
