@@ -24,7 +24,7 @@ class DeltaSweepBench extends AnyFunSuite {
         (d, Eval.perfRow(spec, delta, LimitMs, algos), Eval.table4Row(spec, delta))
       }
       println(s"\n=== Varying delta on $key (TLE = ${LimitMs / 1000}s) ===")
-      Eval.printTable(
+      Eval.printTimingTable(
         Seq("delta") ++ algos.map(_._1 + "(ms)") ++ Seq("Total") ++ (0 until 6).map(i => s"T$i"),
         sweep.map { case (d, row, dist) =>
           Seq(s"${d}d") ++ row.results.map { case (_, r) => Eval.fmtMs(r) } ++

@@ -25,7 +25,7 @@ class OverallPerfBench extends AnyFunSuite {
     val algos = Eval.CountingAlgos ++ Eval.EnumAlgos
     val perf = Datasets.all.map(s => s -> Eval.perfRowLimits(s, delta, LimitMs, algos))
     println(s"\n=== Overall performance (delta = 40 days, TLE = 30s/180s) ===")
-    Eval.printTable(
+    Eval.printTimingTable(
       Seq("Dataset") ++ algos.map(_._1 + "(ms)") :+ "Total counts",
       perf.map { case (spec, row) =>
         val total = row.results.collectFirst {

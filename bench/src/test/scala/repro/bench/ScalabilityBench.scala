@@ -25,7 +25,7 @@ class ScalabilityBench extends AnyFunSuite {
         }
       }
       println(s"\n=== Scalability on $key (TLE = ${LimitMs / 1000}s, 2 reps) ===")
-      Eval.printTable(
+      Eval.printTimingTable(
         Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"),
         table.map { case (f, cells) =>
           Seq(f"${(f * 100).toInt}%%") ++ cells.map {

@@ -43,7 +43,7 @@ object ApproxEval {
         }
         Seq(f"$p%.1f") ++ cells.map(c => f"${c._1}%.1f") :+ f"${cells.last._2 * 100}%.1f%%"
       }
-      Eval.printTable(
+      Eval.printTimingTable(
         Seq("p", "ApproxTBC(ms)", "ApproxTBC+(ms)", "ApproxTBC++(ms)", "MAPE"), rows, out)
       out("")
     }
@@ -63,7 +63,7 @@ object ApproxEval {
         }
         Seq(nTW.toString) ++ cells.map(c => f"${c._1}%.1f") :+ f"${cells.last._2 * 100}%.1f%%"
       }
-      Eval.printTable(
+      Eval.printTimingTable(
         Seq("N_t^W", "sGrappTBC(ms)", "sGrappTBC+(ms)", "sGrappTBC++(ms)", "MAPE"), rows, out)
       out("")
     }

@@ -23,7 +23,7 @@ object DeltaSweepJob {
         Seq(s"${d}d") ++ r.results.map { case (_, res) => Eval.fmtMs(res) } ++
           Seq(counts.counts.sum.toString)
       }
-      Eval.printTable(Seq("delta") ++ algos.map(_._1 + "(ms)") ++ Seq("total"), rows)
+      Eval.printTimingTable(Seq("delta") ++ algos.map(_._1 + "(ms)") ++ Seq("total"), rows)
       println()
     }
   }

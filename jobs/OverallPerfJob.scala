@@ -17,6 +17,6 @@ object OverallPerfJob {
       val r = Eval.perfRow(spec, delta, limitMs, algos)
       Seq(spec.key) ++ r.results.map { case (_, res) => Eval.fmtMs(res) }
     }
-    Eval.printTable(Seq("Dataset") ++ algos.map(_._1 + "(ms)"), rows)
+    Eval.printTimingTable(Seq("Dataset") ++ algos.map(_._1 + "(ms)"), rows)
   }
 }

@@ -27,7 +27,7 @@ object ScalabilityJob {
         }
         Seq(f"${(f * 100).toInt}%%") ++ cells
       }
-      Eval.printTable(Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"), rows)
+      Eval.printTimingTable(Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"), rows)
       println()
     }
   }

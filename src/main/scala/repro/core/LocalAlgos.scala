@@ -2,17 +2,34 @@ package repro.core
 
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
+import scala.runtime.LongRef
 import repro.graph.LocalGraph
+import repro.util.ParFold
 
 /** Single-JVM drivers for the five algorithms of §§ 3–4: TBC, TBE, TBC+,
   * TBE+, TBC++. These mirror the C++ reference structure: iterate every
   * vertex as start-vertex, enumerate wedges toward strictly lower-priority
   * middle- and end-vertices, group per end-vertex, and combine.
   *
-  * Memory stays O(|E| + max |W(u)|): the wedge groups of one start-vertex
-  * are discarded before the next is processed.
+  * Start vertices are independent, so [[ParFold]] shares them out over
+  * `k = ParFold.workers` workers, one at a time in descending priority:
+  * only lower-priority vertices can be middle or end vertices, so the hubs
+  * carry the most wedges and go first. Each worker counts into its own
+  * array (or emits into its own sink) and the partials are summed, so the
+  * counts equal a sequential run's.
+  *
+  * Memory stays O(|E| + k·max |W(u)|): each worker discards the wedge
+  * groups of one start-vertex before it takes the next.
   */
 object LocalAlgos {
+
+  /** Vertices in descending priority. */
+  private def heaviestFirst(g: LocalGraph): Array[Int] = {
+    val order = new Array[Int](g.n)
+    var u = 0
+    while (u < g.n) { order(g.n - 1 - g.pri(u)) = u; u += 1 }
+    order
+  }
 
   /** Enumerate the wedges of one start-vertex, grouped by end-vertex.
     * `prune` applies Lemma 1 at enumeration time (TBC+/TBC++); the baseline
@@ -45,17 +62,17 @@ object LocalAlgos {
   /** Run `variant` counting over the whole graph. */
   def count(g: LocalGraph, delta: Long, variant: Variant,
             deadline: Long = Long.MaxValue): Array[Long] = {
-    val counts = new Array[Long](ButterflyType.NumTypes)
     val prune = variant != Variant.Baseline
-    var u = 0
-    while (u < g.n) {
-      val h = wedgeGroups(g, u, delta, prune)
-      h.foreach { case (_, ws) =>
+    val order = heaviestFirst(g)
+    val partials = ParFold(g.n, ParFold.workers)(new Array[Long](ButterflyType.NumTypes)) { (counts, i) =>
+      val u = order(i)
+      wedgeGroups(g, u, delta, prune).foreach { case (_, ws) =>
         if (ws.length > 1)
           LocalCombine.count(ws, g.layer(u).toInt, delta, variant, counts, deadline)
       }
-      u += 1
     }
+    val counts = new Array[Long](ButterflyType.NumTypes)
+    partials.foreach(ButterflyType.addCounts(counts, _))
     counts
   }
 
@@ -73,27 +90,28 @@ object LocalAlgos {
 
   /** Run `variant` enumeration; `collect` decides whether instances are
     * materialized (tests) or only counted (benches mirror the paper's
-    * "no output" protocol).
+    * "no output" protocol). Collected instances come in start-vertex order,
+    * whichever worker found them.
     */
   def enumerate(
       g: LocalGraph, delta: Long, variant: Variant,
       collect: Boolean, deadline: Long = Long.MaxValue
   ): (Long, ArrayBuffer[Instance]) = {
-    val out = new ArrayBuffer[Instance]()
-    var total = 0L
     val prune = variant != Variant.Baseline
-    var u = 0
-    while (u < g.n) {
-      val h = wedgeGroups(g, u, delta, prune)
+    val order = heaviestFirst(g)
+    val byStart = if (collect) new Array[ArrayBuffer[Instance]](g.n) else null
+    val totals = ParFold(g.n, ParFold.workers)(LongRef.zero()) { (total, i) =>
+      val u = order(i)
       val layer = g.layer(u).toInt
       val startOrig = g.origId(u)
-      h.foreach { case (w, ws) =>
+      val out = if (collect) new ArrayBuffer[Instance]() else null
+      wedgeGroups(g, u, delta, prune).foreach { case (w, ws) =>
         if (ws.length > 1) {
           val endOrig = g.origId(w)
           val sink = new SetCross.EnumSink {
             def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
                      mid2: Long, s2: Long, a2: Long): Unit = {
-              total += 1
+              total.elem += 1
               if (collect)
                 out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
             }
@@ -101,9 +119,11 @@ object LocalAlgos {
           LocalCombine.enumerate(ws, layer, delta, variant, sink, deadline)
         }
       }
-      u += 1
+      if (collect && out.nonEmpty) byStart(u) = out
     }
-    (total, out)
+    val out = new ArrayBuffer[Instance]()
+    if (collect) byStart.foreach(b => if (b != null) out ++= b)
+    (totals.map(_.elem).sum, out)
   }
 
   /** TBE — baseline enumeration (§ 3). */

@@ -133,15 +133,19 @@ object SetCross {
 
     var live = true
     while (live) {
-      // maxn: largest unprocessed start time across the four subsets.
+      // maxn: largest unprocessed start time across the four subsets. An
+      // explicit flag marks that one exists: `maxn` may be Long.MinValue.
       var maxn = Long.MinValue
+      live = false
       var k = 0
       while (k < 4) {
-        if (ptr(k) < lists(k).size && lists(k).ts(ptr(k)) > maxn) maxn = lists(k).ts(ptr(k))
+        if (ptr(k) < lists(k).size && (!live || lists(k).ts(ptr(k)) > maxn)) {
+          maxn = lists(k).ts(ptr(k))
+          live = true
+        }
         k += 1
       }
-      if (maxn == Long.MinValue) live = false
-      else {
+      if (live) {
         if (System.nanoTime() > deadline) throw new BenchTimeout
         // Lemma 2: wedges whose end time exceeds maxn + delta can never
         // again satisfy the duration constraint.

@@ -4,6 +4,7 @@ import scala.collection.mutable.ArrayBuffer
 
 import repro.core.{BenchTimeout, LocalAlgos, Variant}
 import repro.graph.{Datasets, LocalGraph, SynthBipartite, TemporalEdge}
+import repro.util.ParFold
 
 /** Shared experiment harness for the evaluation reproduction: dataset
   * materialization, timed algorithm runs with a TLE cap (the analogue of
@@ -47,6 +48,14 @@ object Eval {
     out(fmt(header))
     out(widths.map("-" * _).mkString("  "))
     rows.foreach(r => out(fmt(r)))
+  }
+
+  /** [[printTable]] for a table of static-algorithm times, which depend on
+    * the worker count: a last line records it.
+    */
+  def printTimingTable(header: Seq[String], rows: Seq[Seq[String]], out: String => Unit = println): Unit = {
+    printTable(header, rows, out)
+    out(s"(static algorithms on ${ParFold.workers} worker threads)")
   }
 
   // ------------------------------------------------------------------

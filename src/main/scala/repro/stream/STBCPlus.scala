@@ -1,11 +1,10 @@
 package repro.stream
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
 import scala.collection.mutable
 
 import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
-import repro.util.{LongBuf, Sat}
+import repro.util.{LongBuf, ParFold, Sat}
 
 /** STBC+ (Algorithm 8): batch stream updates with multi-core parallelism.
   *
@@ -18,17 +17,19 @@ import repro.util.{LongBuf, Sat}
   * plain sorted arrays `VS`/`VA` per direction and every coverage case is a
   * pair of binary searches.
   *
-  * The maximum-side counting is implemented by time reversal: negating all
-  * timestamps turns "edge is the unique maximum over `[t - delta, t)`" into
-  * "edge is the unique minimum over `(-t, -t + delta]`", and the butterfly
-  * type is invariant under time reversal (both wedge directions flip, so
-  * direction-equality and coverage are preserved).
+  * The maximum-side counting is implemented by time reversal: mapping every
+  * timestamp `t` to `~t` (= `-t - 1`, which reverses order over the whole
+  * `Long` range, unlike negation) turns "edge is the unique maximum over
+  * `[t - delta, t)`" into "edge is the unique minimum over
+  * `(~t, ~t + delta]`", and the butterfly type is invariant under time
+  * reversal (both wedge directions flip, so direction-equality and coverage
+  * are preserved).
   *
-  * Batch edges are spread over a thread pool; each worker accumulates into
-  * a private count array and the partials are summed — no shared mutable
-  * state during counting (edges are physically inserted before / deleted
-  * after the counting pass, exactly as the paper prescribes to avoid
-  * read-write conflicts).
+  * Batch edges are shared out one at a time over `threads` [[ParFold]]
+  * workers; each accumulates into a private count array and the partials
+  * are summed — no shared mutable state during counting (edges are
+  * physically inserted before / deleted after the counting pass, exactly as
+  * the paper prescribes to avoid read-write conflicts).
   */
 object STBCPlus {
 
@@ -62,9 +63,9 @@ object STBCPlus {
     val uKey = g.upperKey(e.u)
     val vKey = g.lowerKey(e.v)
     val t = e.t
-    // Under time reversal every collected timestamp is negated; `sgn`
-    // folds that into the collection step.
-    val sgn = if (asMin) 1L else -1L
+    // Under time reversal every collected timestamp `x` becomes `~x`;
+    // `x ^ flip` folds that into the collection step.
+    val flip = if (asMin) 0L else -1L
     // The range excludes `t` itself: (t, t + delta] or [t - delta, t).
     val (lo, hi) = if (asMin) (t, Sat.add(t, delta)) else (Sat.add(t, -delta), t)
 
@@ -77,7 +78,7 @@ object STBCPlus {
         g.foreachInRange(g.slot(xKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
           if (wKey != uKey && t2 != t1) {
             val (_, fwd, bwd) = entry(wKey)
-            val s = sgn * t1; val a = sgn * t2
+            val s = t1 ^ flip; val a = t2 ^ flip
             val d = if (s < a) fwd else bwd
             d.vs += math.min(s, a)
             d.va += math.max(s, a)
@@ -86,7 +87,7 @@ object STBCPlus {
       }
     }
     g.foreachInRange(g.slot(vKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
-      if (wKey != uKey) entry(wKey)._1 += sgn * t2
+      if (wKey != uKey) entry(wKey)._1 += t2 ^ flip
     }
 
     h.foreach { case (_, (viaV, fwd, bwd)) =>
@@ -103,35 +104,16 @@ object STBCPlus {
     counts
   }
 
-  /** Parallel fold of `countExtreme` over a batch. */
+  /** Parallel fold of `countExtreme` over a batch; one thread runs inline. */
   private def batchCount(
       g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
       asMin: Boolean, threads: Int): Array[Long] = {
-    val nThreads = math.max(1, threads)
-    // Worker k takes batch edges k, k + nThreads, ... into its own counts.
-    def work(k: Int): Array[Long] = {
-      val local = new Array[Long](6)
-      var i = k
-      while (i < batch.length) {
-        addCounts(local, countExtreme(g, batch(i), delta, asMin))
-        i += nThreads
-      }
-      local
-    }
-    if (nThreads == 1 || batch.isEmpty) work(0)
-    else {
-      val pool = Executors.newFixedThreadPool(nThreads)
-      try {
-        val tasks = (0 until nThreads).map(k => new Callable[Array[Long]] { def call(): Array[Long] = work(k) })
-        val total = new Array[Long](6)
-        import scala.jdk.CollectionConverters._
-        pool.invokeAll(tasks.asJava).asScala.foreach(fut => addCounts(total, fut.get()))
-        total
-      } finally {
-        pool.shutdown()
-        pool.awaitTermination(1, TimeUnit.HOURS)
-      }
-    }
+    val edges = batch.toIndexedSeq
+    val total = new Array[Long](6)
+    ParFold(edges.length, threads)(new Array[Long](6)) { (local, i) =>
+      addCounts(local, countExtreme(g, edges(i), delta, asMin))
+    }.foreach(addCounts(total, _))
+    total
   }
 
   /** Insert a chronologically-sorted batch; returns the per-type counts of

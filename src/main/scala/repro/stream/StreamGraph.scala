@@ -20,6 +20,8 @@ import repro.util.LongBuf
   *     traversal range" engineering of Algorithm 7.
   *
   * Vertices from both layers share one key space: upper `2u`, lower `2v+1`.
+  * That folding is one-to-one only for ids in `[-2^62, 2^62)`, so
+  * [[insert]] rejects any other id.
   */
 final class StreamGraph {
 
@@ -59,10 +61,14 @@ final class StreamGraph {
     ts += t
   }
 
+  private def foldable(id: Long): Boolean = id >= -(1L << 62) && id < (1L << 62)
+
   /** Insert one edge; `t` must not precede any edge already incident to
-    * either endpoint.
+    * either endpoint, and both ids must lie in `[-2^62, 2^62)`.
     */
   def insert(e: TemporalEdge): Unit = {
+    require(foldable(e.u) && foldable(e.v),
+      s"stream graph ids must lie in [-2^62, 2^62) to fold into one key space (got $e)")
     val a = ensure(upperKey(e.u))
     val b = ensure(lowerKey(e.v))
     append(a, lowerKey(e.v), e.t)

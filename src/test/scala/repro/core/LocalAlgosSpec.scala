@@ -60,12 +60,14 @@ class LocalAlgosSpec extends AnyFunSuite {
   }
 
   // Bounds such as `maxn + delta` must saturate: wrapping once made every
-  // optimized variant return zero on these inputs.
-  for ((label, shift, delta) <- Seq(
-      ("delta = Long.MaxValue", 0L, Long.MaxValue),
-      ("timestamps near Long.MaxValue", Long.MaxValue - 100, 100L)))
+  // optimized variant return zero on these inputs. A start time of
+  // Long.MinValue once ended the SetCross sweep before its round.
+  for ((label, t0, delta) <- Seq(
+      ("delta = Long.MaxValue", 10L, Long.MaxValue),
+      ("timestamps near Long.MaxValue", Long.MaxValue - 90, 100L),
+      ("timestamps from Long.MinValue", Long.MinValue, 100L)))
     test(s"time bounds do not overflow: $label") {
-      val edges = TestUtil.singleButterfly(10, 20, 30, 40).map(e => e.copy(t = e.t + shift))
+      val edges = TestUtil.singleButterfly(t0, t0 + 10, t0 + 20, t0 + 30)
       val g = LocalGraph.fromEdges(edges)
       checkAll(edges, delta, label)
       assert(BruteForce.countByType(edges, delta).toSeq == Seq(1L, 0L, 0L, 0L, 0L, 0L))
@@ -148,8 +150,24 @@ class LocalAlgosSpec extends AnyFunSuite {
   test("deadline aborts long runs with BenchTimeout") {
     val edges = TestUtil.randomEdges(7, 3, 3, 400, 100)
     val g = LocalGraph.fromEdges(edges)
-    intercept[BenchTimeout] {
-      LocalAlgos.tbc(g, 100, deadline = System.nanoTime() - 1)
-    }
+    val expired = System.nanoTime() - 1
+    intercept[BenchTimeout](LocalAlgos.tbc(g, 100, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbcPlus(g, 100, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbcPlusPlus(g, 100, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbe(g, 100, collect = false, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbePlus(g, 100, collect = false, deadline = expired))
+    // Every worker of the aborted calls has stopped: normal calls are whole.
+    checkAll(edges, 100, "after timeouts")
+    assert(LocalAlgos.tbePlus(g, 100, collect = false)._1 == BruteForce.countByType(edges, 100).sum)
+  }
+
+  test("collected TBE+ instances come in the same order on every call") {
+    val edges = TestUtil.randomEdges(42, 12, 14, 500, 400)
+    val g = LocalGraph.fromEdges(edges)
+    val (n1, first) = LocalAlgos.tbePlus(g, 150)
+    val (n2, second) = LocalAlgos.tbePlus(g, 150)
+    assert(n1 > 100 && n1 == n2 && first.length == n1)
+    assert(first == second)
+    assert(first.sortBy(_.toString) == BruteForce.enumerate(edges, 150).sortBy(_.toString))
   }
 }

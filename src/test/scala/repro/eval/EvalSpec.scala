@@ -2,7 +2,7 @@ package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.BenchTimeout
+import repro.core.{BenchTimeout, LocalAlgos}
 import repro.graph.Datasets
 
 /** Harness-level tests: timing, TLE capping, table formatting, dataset
@@ -28,6 +28,13 @@ class EvalSpec extends AnyFunSuite {
     assert(r == Left("TLE"))
   }
 
+  test("capped returns Left(TLE) through a parallel LocalAlgos call") {
+    val g = Eval.graphOf(Datasets.byKey("WN"))
+    val delta = Datasets.DefaultDeltaSeconds
+    assert(Eval.capped(0L)(dl => LocalAlgos.tbcPlusPlus(g, delta, dl)) == Left("TLE"))
+    assert(Eval.capped(60000L)(dl => LocalAlgos.tbcPlusPlus(g, delta, dl)).isRight)
+  }
+
   test("fmtMs renders both outcomes") {
     assert(Eval.fmtMs(Left("TLE")) == "TLE")
     assert(Eval.fmtMs(Right(Eval.Timed((), 12.34))) == "12.3")
@@ -43,6 +50,13 @@ class EvalSpec extends AnyFunSuite {
     Eval.printTable(Seq("a", "bbbb"), Seq(Seq("xxx", "y")), out += _)
     assert(out.length == 3)
     assert(out.forall(_.length == out.head.length))
+  }
+
+  test("printTimingTable ends with the worker count") {
+    val out = collection.mutable.ArrayBuffer.empty[String]
+    Eval.printTimingTable(Seq("a"), Seq(Seq("1")), out += _)
+    assert(out.length == 4)
+    assert(out.last == s"(static algorithms on ${Runtime.getRuntime.availableProcessors} worker threads)")
   }
 
   test("edgesOf is cached and deterministic") {

@@ -32,6 +32,21 @@ class StreamSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](g.insert(TemporalEdge(0, 0, 5)))
   }
 
+  test("stream graph rejects ids the 2u / 2v+1 key folding cannot represent") {
+    // Upper ids 1 and Long.MinValue + 1 would both fold to key 2.
+    val g = new StreamGraph
+    g.insert(TemporalEdge(1, 0, 1))
+    for (e <- Seq(TemporalEdge(Long.MinValue + 1, 1, 2), TemporalEdge(1L << 62, 1, 2),
+                  TemporalEdge(0, -(1L << 62) - 1, 2), TemporalEdge(0, Long.MaxValue, 2))) {
+      val err = intercept[IllegalArgumentException](g.insert(e))
+      assert(err.getMessage.contains(e.toString))
+    }
+    // Nothing of a rejected edge was inserted, not even its lower vertex.
+    assert(g.numEdges == 1 && g.slot(g.lowerKey(1)) == -1)
+    g.insert(TemporalEdge(-(1L << 62), (1L << 62) - 1, 3))
+    assert(g.numEdges == 2)
+  }
+
   test("stream graph oldest-first deletion and compaction") {
     val g = new StreamGraph
     val edges = (1 to 300).map(i => TemporalEdge(0, (i % 3).toLong, i.toLong))
@@ -110,21 +125,26 @@ class StreamSpec extends AnyFunSuite {
     }
 
   // Range bounds such as `t + delta` must saturate: wrapping once made STBC
-  // and STBC+ return zero on these inputs.
-  for ((label, shift, delta) <- Seq(
-      ("delta = Long.MaxValue", 0L, Long.MaxValue),
-      ("timestamps near Long.MaxValue", Long.MaxValue - 100, 100L)))
+  // and STBC+ return zero on these inputs. At Long.MinValue, TBC++'s sweep
+  // (inside STBC) once stopped early and STBC+'s time reversal by negation
+  // once mapped Long.MinValue to itself.
+  for ((label, t0, delta) <- Seq(
+      ("delta = Long.MaxValue", 10L, Long.MaxValue),
+      ("timestamps near Long.MaxValue", Long.MaxValue - 90, 100L),
+      ("timestamps from Long.MinValue", Long.MinValue, 100L)))
     test(s"stream counters do not overflow time bounds: $label") {
-      val edges = TestUtil.singleButterfly(10, 20, 30, 40).map(e => e.copy(t = e.t + shift)).sortBy(_.t)
+      val edges = TestUtil.singleButterfly(t0, t0 + 10, t0 + 20, t0 + 30).sortBy(_.t)
       val want = BruteForce.countByType(edges, delta)
       assert(want.sum == 1L)
       val g = new StreamGraph
       edges.foreach(g.insert)
       TestUtil.assertCountsEqual(want, STBC.countContaining(g, edges.head, delta), s"$label STBC first")
       TestUtil.assertCountsEqual(want, STBC.countContaining(g, edges.last, delta), s"$label STBC last")
-      val g2 = new StreamGraph
-      TestUtil.assertCountsEqual(want, STBCPlus.insertBatch(g2, edges, delta), s"$label STBC+ insert")
-      TestUtil.assertCountsEqual(want, STBCPlus.deleteBatch(g2, edges, delta), s"$label STBC+ delete")
+      for (threads <- Seq(1, 4)) {
+        val g2 = new StreamGraph
+        TestUtil.assertCountsEqual(want, STBCPlus.insertBatch(g2, edges, delta, threads), s"$label STBC+-$threads insert")
+        TestUtil.assertCountsEqual(want, STBCPlus.deleteBatch(g2, edges, delta, threads), s"$label STBC+-$threads delete")
+      }
     }
 
   // ---------- STBC+: batch counting ----------
