@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Figure 11-style overall performance of the five algorithms at
   * delta = 40 days with a 30 s TLE cap (the analogue of the paper's
@@ -21,18 +20,8 @@ class OverallPerfBench extends AnyFunSuite {
   }
 
   test("Overall performance: TBC/TBC+/TBC++ and TBE/TBE+ per dataset") {
-    val delta = Datasets.DefaultDeltaSeconds
-    val algos = Eval.CountingAlgos ++ Eval.EnumAlgos
-    val perf = Datasets.all.map(s => s -> Eval.perfRowLimits(s, delta, LimitMs, algos))
     println(s"\n=== Overall performance (delta = 40 days, TLE = 30s/180s) ===")
-    Eval.printTimingTable(
-      Seq("Dataset") ++ algos.map(_._1 + "(ms)") :+ "Total counts",
-      perf.map { case (spec, row) =>
-        val total = row.results.collectFirst {
-          case ("TBC++", Right(t)) => t.value.sum.toString
-        }.getOrElse("?")
-        Seq(spec.key) ++ row.results.map { case (_, res) => Eval.fmtMs(res) } :+ total
-      })
+    val perf = Eval.overallPerf(LimitMs)
 
     def ms(row: Eval.PerfRow, name: String): Option[Double] =
       row.results.collectFirst { case (`name`, Right(t)) => t.millis }

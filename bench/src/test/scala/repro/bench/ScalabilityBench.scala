@@ -2,9 +2,7 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.Variant
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Figure 15-style scalability over random edge subsets {20..100}%,
   * averaged over repetitions, per counting variant.
@@ -13,26 +11,11 @@ class ScalabilityBench extends AnyFunSuite {
 
   private val LimitMs = 30000L
   private val Keys = Seq("CU", "TW")
-  private val Fractions = Seq(0.2, 0.4, 0.6, 0.8, 1.0)
+  private val Fractions = Eval.ScalabilityFractions
 
   for (key <- Keys)
     test(s"Scalability on $key: time vs |E| fraction") {
-      val edges = Eval.edgesOf(Datasets.byKey(key))
-      val table = Fractions.map { f =>
-        f -> Variant.all.map { v =>
-          v.name -> Eval.scalabilityPoint(edges, f, Datasets.DefaultDeltaSeconds,
-            LimitMs, v, reps = 2, seed = 17)
-        }
-      }
-      println(s"\n=== Scalability on $key (TLE = ${LimitMs / 1000}s, 2 reps) ===")
-      Eval.printTimingTable(
-        Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"),
-        table.map { case (f, cells) =>
-          Seq(f"${(f * 100).toInt}%%") ++ cells.map {
-            case (_, Left(s)) => s
-            case (_, Right(ms)) => f"$ms%.1f"
-          }
-        })
+      val table = Eval.scalability(key, LimitMs, reps = 2, seed = 17)
 
       // TBC++ must complete at every fraction; the baseline's cost explodes
       // with |E| while the optimized algorithm stays far ahead — the

@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Reproduces Table 3 of the paper: the summary of the 11 datasets.
   *
@@ -15,14 +14,8 @@ import repro.graph.Datasets
 class Table3Bench extends AnyFunSuite {
 
   test("Table 3: dataset summary (scaled synthetic vs paper)") {
-    val rows = Datasets.all.map(Eval.datasetStats)
     println("\n=== Table 3: The summary of datasets (synthetic, scale ~1/256) ===")
-    Eval.printTable(
-      Seq("Dataset", "|E|", "|U|", "|L|", "Span(d)",
-          "paper|E|", "paper|U|", "paper|L|", "paperSpan(d)"),
-      rows.map(r => Seq(r.key, r.e.toString, r.u.toString, r.l.toString,
-        f"${r.spanDays}%.2f", r.paperE.toString, r.paperU.toString,
-        r.paperL.toString, f"${r.paperSpanDays}%.2f")))
+    val rows = Eval.table3()
 
     // shape assertions: the ordering by |E| and the time spans survive scaling
     val es = rows.map(_.e)

@@ -3,7 +3,6 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Reproduces Table 4 of the paper: the distribution of per-type temporal
   * butterfly counts at delta = 40 days, for all 11 (scaled synthetic)
@@ -12,13 +11,8 @@ import repro.graph.Datasets
 class Table4Bench extends AnyFunSuite {
 
   test("Table 4: distribution of counts while delta = 40 days") {
-    val delta = Datasets.DefaultDeltaSeconds
-    val rows = Datasets.all.map(s => Eval.table4Row(s, delta))
     println("\n=== Table 4: The distribution of counts while delta = 40 days ===")
-    Eval.printTable(
-      Seq("Dataset", "Entities", "Total") ++ (0 until 6).map(i => s"T$i"),
-      rows.map(r => Seq(r.key, r.entities, r.counts.sum.toString) ++
-        r.pcts.map(p => f"$p%.1f%%")))
+    val rows = Eval.table4()
 
     rows.foreach { r =>
       assert(r.counts.sum > 0, s"${r.key}: butterflies exist at 40 days")

@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Reproduces Table 3 (dataset summary): generates the scaled synthetic
   * counterpart of each of the 11 datasets and prints measured |E|, |U|,
@@ -10,13 +9,5 @@ import repro.graph.Datasets
   * spark-submit --class repro.jobs.Table3Job <jar>
   */
 object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val rows = Datasets.all.map(Eval.datasetStats)
-    Eval.printTable(
-      Seq("Dataset", "|E|", "|U|", "|L|", "Span(d)",
-          "paper|E|", "paper|U|", "paper|L|", "paperSpan(d)"),
-      rows.map(r => Seq(r.key, r.e.toString, r.u.toString, r.l.toString,
-        f"${r.spanDays}%.2f", r.paperE.toString, r.paperU.toString,
-        r.paperL.toString, f"${r.paperSpanDays}%.2f")))
-  }
+  def main(args: Array[String]): Unit = Eval.table3()
 }

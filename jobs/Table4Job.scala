@@ -1,7 +1,6 @@
 package repro.jobs
 
 import repro.eval.Eval
-import repro.graph.Datasets
 
 /** Reproduces Table 4 (distribution of counts per temporal butterfly type
   * at delta = 40 days) over the 11 scaled synthetic datasets.
@@ -11,11 +10,6 @@ import repro.graph.Datasets
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val deltaDays = args.headOption.map(_.toLong).getOrElse(40L)
-    val delta = deltaDays * 86400L
-    val rows = Datasets.all.map(s => Eval.table4Row(s, delta))
-    Eval.printTable(
-      Seq("Dataset", "Entities", "Total") ++ (0 until 6).map(i => s"T$i"),
-      rows.map(r => Seq(r.key, r.entities, r.counts.sum.toString) ++
-        r.pcts.map(p => f"$p%.1f%%")))
+    Eval.table4(deltaDays * 86400L)
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.util.Sat
+
 /** Temporal-butterfly type arithmetic (Figure 1, Figure 4, § 4.1).
   *
   * A temporal butterfly decomposes into two temporal wedges that share their
@@ -62,7 +64,7 @@ object ButterflyType {
     if (s1 == a1 || s1 == s2 || s1 == a2 || a1 == s2 || a1 == a2 || s2 == a2) return false
     val mx = math.max(math.max(s1, a1), math.max(s2, a2))
     val mn = math.min(math.min(s1, a1), math.min(s2, a2))
-    mx - mn <= delta
+    Sat.within(mn, mx, delta)
   }
 }
 

@@ -4,7 +4,7 @@ import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import scala.runtime.LongRef
 import repro.graph.LocalGraph
-import repro.util.ParFold
+import repro.util.{ParFold, Sat}
 
 /** Single-JVM drivers for the five algorithms of §§ 3–4: TBC, TBE, TBC+,
   * TBE+, TBC++. These mirror the C++ reference structure: iterate every
@@ -49,7 +49,7 @@ object LocalAlgos {
         var j = 0
         while (j < nbrs2.length) {
           val w = nbrs2(j); val t2 = times2(j)
-          if (pu > g.pri(w) && (!prune || (t1 != t2 && math.abs(t2 - t1) <= delta)))
+          if (pu > g.pri(w) && (!prune || (t1 != t2 && Sat.within(t1, t2, delta))))
             h.getOrElseUpdate(w, new ArrayBuffer) += ((g.origId(v).toLong, t1, t2))
           j += 1
         }

@@ -3,6 +3,8 @@ package repro.core
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
+import repro.util.Sat
+
 /** Which algorithm flavour to run. Baseline = TBC/TBE (§ 3), Plus =
   * TBC+/TBE+ (§ 4.2/4.3, hashmap HP), PlusPlus = TBC++ (§ 4.4, twin
   * order-statistic trees).
@@ -87,7 +89,7 @@ object LocalCombine {
   def buildSides(wedges: ArrayBuffer[(Long, Long, Long)], delta: Long): Array[Side] = {
     val byMid = mutable.LinkedHashMap.empty[Long, (ArrayBuffer[(Long, Long)], ArrayBuffer[(Long, Long)])]
     wedges.foreach { case (mid, s, a) =>
-      if (s != a && math.abs(a - s) <= delta) {
+      if (s != a && Sat.within(s, a, delta)) {
         val (fa, fd) = byMid.getOrElseUpdate(mid, (new ArrayBuffer, new ArrayBuffer))
         if (s < a) fa += ((s, a)) else fd += ((a, s))
       }

@@ -1,16 +1,16 @@
 package repro.eval
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.core.{BenchTimeout, LocalAlgos, Variant}
 import repro.graph.{Datasets, LocalGraph, SynthBipartite, TemporalEdge}
 import repro.util.ParFold
 
 /** Shared experiment harness for the evaluation reproduction: dataset
   * materialization, timed algorithm runs with a TLE cap (the analogue of
-  * the paper's 100,000 s limit), and table formatting. Both the
-  * `spark-submit` entrypoints under `jobs/` and the bench suites under
-  * `bench/` drive their experiments through this module.
+  * the paper's 100,000 s limit), and table formatting. Each table or
+  * figure is one function here that runs its sweep, prints its table
+  * through `out` and returns the rows: the `spark-submit` entrypoint under
+  * `jobs/` only parses its arguments and calls it, and the bench suite
+  * under `bench/` calls it and asserts on the rows.
   */
 object Eval {
 
@@ -89,8 +89,22 @@ object Eval {
       spec.paperE, spec.paperU, spec.paperL, spec.paperSpanDays)
   }
 
+  /** Table 3: measured |E|, |U|, |L| and time span of each of `specs` next
+    * to the paper's numbers.
+    */
+  def table3(specs: Seq[Datasets.Spec] = Datasets.all, out: String => Unit = println): Seq[DatasetStats] = {
+    val rows = specs.map(datasetStats)
+    printTable(
+      Seq("Dataset", "|E|", "|U|", "|L|", "Span(d)",
+          "paper|E|", "paper|U|", "paper|L|", "paperSpan(d)"),
+      rows.map(r => Seq(r.key, r.e.toString, r.u.toString, r.l.toString,
+        f"${r.spanDays}%.2f", r.paperE.toString, r.paperU.toString,
+        r.paperL.toString, f"${r.paperSpanDays}%.2f")), out)
+    rows
+  }
+
   // ------------------------------------------------------------------
-  // Table 4: per-type count distribution at delta = 40 days
+  // Table 4: per-type count distribution
   // ------------------------------------------------------------------
 
   final case class DistRow(key: String, entities: String, counts: Array[Long], pcts: Array[Double])
@@ -100,38 +114,94 @@ object Eval {
     DistRow(spec.key, spec.entities, c, pct(c))
   }
 
+  /** Table 4: the TBC++ total and per-type shares on each of `specs`. */
+  def table4(delta: Long = Datasets.DefaultDeltaSeconds, specs: Seq[Datasets.Spec] = Datasets.all,
+             out: String => Unit = println): Seq[DistRow] = {
+    val rows = specs.map(s => table4Row(s, delta))
+    printTable(
+      Seq("Dataset", "Entities", "Total") ++ (0 until 6).map(i => s"T$i"),
+      rows.map(r => Seq(r.key, r.entities, r.counts.sum.toString) ++
+        r.pcts.map(p => f"$p%.1f%%")), out)
+    rows
+  }
+
   // ------------------------------------------------------------------
   // Figure 11/12-style overall performance (counting + enumeration)
   // ------------------------------------------------------------------
 
   final case class PerfRow(key: String, results: Seq[(String, Either[String, Timed[Array[Long]]])])
 
-  val CountingAlgos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
+  /** The five algorithms of the timing tables, in column order; the
+    * enumerators report their instance count.
+    */
+  val Algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
     "TBC"   -> ((g, d, dl) => LocalAlgos.tbc(g, d, dl)),
     "TBC+"  -> ((g, d, dl) => LocalAlgos.tbcPlus(g, d, dl)),
     "TBC++" -> ((g, d, dl) => LocalAlgos.tbcPlusPlus(g, d, dl)),
+    "TBE"   -> ((g, d, dl) => Array(LocalAlgos.tbe(g, d, collect = false, dl)._1)),
+    "TBE+"  -> ((g, d, dl) => Array(LocalAlgos.tbePlus(g, d, collect = false, dl)._1)),
   )
 
-  val EnumAlgos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])] = Seq(
-    "TBE"  -> ((g, d, dl) => Array(LocalAlgos.tbe(g, d, collect = false, dl)._1)),
-    "TBE+" -> ((g, d, dl) => Array(LocalAlgos.tbePlus(g, d, collect = false, dl)._1)),
-  )
-
-  def perfRow(spec: Datasets.Spec, delta: Long, limitMs: Long,
-              algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])]): PerfRow =
-    perfRowLimits(spec, delta, _ => limitMs, algos)
-
-  /** Like [[perfRow]] but with a per-algorithm TLE cap — hopeless baseline
-    * runs can be cut short without capping the heavyweight-but-feasible
-    * optimized runs.
+  /** Time every algorithm of [[Algos]] on `spec`, capping algorithm `name`
+    * at `limitMs(name)`: hopeless baseline runs can be cut short without
+    * capping the heavyweight-but-feasible optimized runs.
     */
-  def perfRowLimits(spec: Datasets.Spec, delta: Long, limitMs: String => Long,
-                    algos: Seq[(String, (LocalGraph, Long, Long) => Array[Long])]): PerfRow = {
+  def perfRowLimits(spec: Datasets.Spec, delta: Long, limitMs: String => Long): PerfRow = {
     val g = graphOf(spec)
-    PerfRow(spec.key, algos.map { case (name, run) =>
+    PerfRow(spec.key, Algos.map { case (name, run) =>
       name -> capped(limitMs(name))(dl => run(g, delta, dl))
     })
   }
+
+  /** Figure 11: every algorithm on each of `specs` at delta = 40 days, and
+    * the total count of TBC++ ("?" if it hit its cap).
+    */
+  def overallPerf(limitMs: String => Long, specs: Seq[Datasets.Spec] = Datasets.all,
+                  out: String => Unit = println): Seq[(Datasets.Spec, PerfRow)] = {
+    val perf = specs.map(s => s -> perfRowLimits(s, Datasets.DefaultDeltaSeconds, limitMs))
+    printTimingTable(
+      ("Dataset" +: Algos.map(_._1 + "(ms)")) :+ "Total counts",
+      perf.map { case (spec, row) =>
+        val total = row.results.collectFirst {
+          case ("TBC++", Right(t)) => t.value.sum.toString
+        }.getOrElse("?")
+        (spec.key +: row.results.map { case (_, r) => fmtMs(r) }) :+ total
+      }, out)
+    perf
+  }
+
+  // ------------------------------------------------------------------
+  // Figure 13/14/16-style sweep of the duration constraint
+  // ------------------------------------------------------------------
+
+  val SweepDeltaDays: Seq[Long] = Seq(10L, 20L, 40L, 80L, 160L)
+
+  /** Figures 13/14/16: every algorithm's time (capped at `limitMs`) and the
+    * per-type distribution on dataset `key` for each delta of
+    * [[SweepDeltaDays]].
+    */
+  def deltaSweep(key: String, limitMs: Long, out: String => Unit = println): Seq[(Long, PerfRow, DistRow)] = {
+    val spec = Datasets.byKey(key)
+    out(s"== $key: varying delta (TLE = ${limitMs / 1000}s) ==")
+    val sweep = SweepDeltaDays.map { d =>
+      val delta = d * SynthBipartite.SecondsPerDay
+      (d, perfRowLimits(spec, delta, _ => limitMs), table4Row(spec, delta))
+    }
+    printTimingTable(
+      ("delta" +: Algos.map(_._1 + "(ms)")) ++ Seq("Total") ++ (0 until 6).map(i => s"T$i"),
+      sweep.map { case (d, row, dist) =>
+        (s"${d}d" +: row.results.map { case (_, r) => fmtMs(r) }) ++
+          Seq(dist.counts.sum.toString) ++ dist.pcts.map(p => f"$p%.0f%%")
+      }, out)
+    out("")
+    sweep
+  }
+
+  // ------------------------------------------------------------------
+  // Figure 15-style scalability over random edge subsets
+  // ------------------------------------------------------------------
+
+  val ScalabilityFractions: Seq[Double] = Seq(0.2, 0.4, 0.6, 0.8, 1.0)
 
   /** Scalability: run on a random fraction of edges (averaged over reps). */
   def scalabilityPoint(edges: IndexedSeq[TemporalEdge], fraction: Double, delta: Long,
@@ -149,5 +219,31 @@ object Eval {
       rep += 1
     }
     Right(total / reps)
+  }
+
+  /** Figure 15: each counting variant's time (capped at `limitMs`) at delta
+    * = 40 days on each of [[ScalabilityFractions]] of dataset `key`'s edges,
+    * averaged over `reps` subsets drawn from `seed`; cells are keyed by
+    * variant name.
+    */
+  def scalability(key: String, limitMs: Long, reps: Int, seed: Long,
+                  out: String => Unit = println): Seq[(Double, Seq[(String, Either[String, Double])])] = {
+    val edges = edgesOf(Datasets.byKey(key))
+    out(s"== $key: scalability (TLE = ${limitMs / 1000}s, $reps reps) ==")
+    val table = ScalabilityFractions.map { f =>
+      f -> Variant.all.map { v =>
+        v.name -> scalabilityPoint(edges, f, Datasets.DefaultDeltaSeconds, limitMs, v, reps, seed)
+      }
+    }
+    printTimingTable(
+      Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"),
+      table.map { case (f, cells) =>
+        f"${(f * 100).toInt}%%" +: cells.map {
+          case (_, Left(s)) => s
+          case (_, Right(ms)) => f"$ms%.1f"
+        }
+      }, out)
+    out("")
+    table
   }
 }

@@ -18,7 +18,7 @@ package repro.util
   */
 final class OrderStatTree {
 
-  private final class Node(val key: Long) {
+  private final class Node(var key: Long) {
     var cnt: Int  = 1      // multiplicity of `key`
     var sz: Int   = 1      // total elements (with duplicates) in this subtree
     var h: Int    = 1      // AVL height
@@ -73,7 +73,7 @@ final class OrderStatTree {
 
   private def minNode(n: Node): Node = if (n.l == null) n else minNode(n.l)
 
-  /** Remove the whole node holding the subtree minimum (used on successor swap). */
+  /** Remove the whole node holding the subtree minimum (the successor in `del`). */
   private def delMin(n: Node): Node =
     if (n.l == null) n.r
     else { n.l = delMin(n.l); rebalance(n) }
@@ -87,32 +87,10 @@ final class OrderStatTree {
       else {
         if (n.l == null) return n.r
         if (n.r == null) return n.l
+        // take over the successor's key and multiplicity, then drop its node
         val s = minNode(n.r)
-        val m = new Node(s.key)
-        m.cnt = s.cnt
-        // detach the successor node entirely, then graft children
-        m.r = delAll(n.r, s.key)
-        m.l = n.l
-        return rebalance(m)
-      }
-      rebalance(n)
-    }
-
-  /** Remove a node together with all its duplicates (internal helper). */
-  private def delAll(n: Node, key: Long): Node =
-    if (n == null) n
-    else {
-      if (key < n.key) n.l = delAll(n.l, key)
-      else if (key > n.key) n.r = delAll(n.r, key)
-      else {
-        if (n.l == null) return n.r
-        if (n.r == null) return n.l
-        val s = minNode(n.r)
-        val m = new Node(s.key)
-        m.cnt = s.cnt
-        m.r = delAll(n.r, s.key)
-        m.l = n.l
-        return rebalance(m)
+        n.key = s.key; n.cnt = s.cnt
+        n.r = delMin(n.r)
       }
       rebalance(n)
     }

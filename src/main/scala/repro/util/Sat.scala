@@ -14,4 +14,10 @@ object Sat {
     val r = a + b
     if (((a ^ r) & (b ^ r)) < 0) (if (b > 0) Long.MaxValue else Long.MinValue) else r
   }
+
+  /** `|a - b| <= delta` for `delta >= 0`, without wrapping: the difference
+    * of two timestamps 2^63 or more apart does not fit in a `Long`.
+    */
+  def within(a: Long, b: Long, delta: Long): Boolean =
+    if (a < b) b <= add(a, delta) else a <= add(b, delta)
 }

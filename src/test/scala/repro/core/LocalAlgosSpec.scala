@@ -74,6 +74,22 @@ class LocalAlgosSpec extends AnyFunSuite {
       assert(LocalAlgos.tbePlus(g, delta, collect = false)._1 == 1L, s"$label TBE+")
     }
 
+  // Timestamps 2^63 or more apart: `hi - lo` and `|t2 - t1|` once wrapped
+  // negative and passed the duration check, in every edge assignment.
+  for ((label, delta) <- Seq(("100", 100L), ("Long.MaxValue", Long.MaxValue)))
+    test(s"a span past the Long range never counts: delta = $label") {
+      val stamps = Seq(Long.MinValue + 1, Long.MinValue + 5, Long.MinValue + 6, Long.MaxValue - 1)
+      for (p <- stamps.permutations) {
+        val edges = TestUtil.singleButterfly(p(0), p(1), p(2), p(3))
+        val g = LocalGraph.fromEdges(edges)
+        val at = p.mkString("stamps ", ", ", "")
+        checkAll(edges, delta, at)
+        assert(BruteForce.countByType(edges, delta).sum == 0L, s"$at brute")
+        assert(LocalAlgos.tbe(g, delta, collect = false)._1 == 0L, s"$at TBE")
+        assert(LocalAlgos.tbePlus(g, delta, collect = false)._1 == 0L, s"$at TBE+")
+      }
+    }
+
   test("equal timestamps kill the butterfly") {
     val edges = TestUtil.singleButterfly(1, 2, 2, 4)
     checkAll(edges, 100, "equal stamps")

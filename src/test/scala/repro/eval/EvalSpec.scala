@@ -81,4 +81,62 @@ class EvalSpec extends AnyFunSuite {
       60000L, repro.core.Variant.PlusPlus, reps = 1, seed = 1)
     assert(a.isRight)
   }
+
+  // The five experiments of jobs/ and bench/, each on one small dataset.
+
+  private def run[A](f: (String => Unit) => A): (A, Seq[String]) = {
+    val out = collection.mutable.ArrayBuffer.empty[String]
+    (f(out += _), out.toSeq)
+  }
+
+  // printTable separates columns by at least two spaces
+  private def cells(line: String): Seq[String] = line.trim.split("  +").toSeq
+
+  private lazy val wnTotal =
+    LocalAlgos.tbcPlusPlus(Eval.graphOf(Datasets.byKey("WN")), Datasets.DefaultDeltaSeconds).sum
+
+  test("table3 prints its header and one row per dataset") {
+    val (rows, out) = run(Eval.table3(Seq(Datasets.byKey("WQ"), Datasets.byKey("WN")), _))
+    assert(cells(out.head).take(5) == Seq("Dataset", "|E|", "|U|", "|L|", "Span(d)"))
+    assert(cells(out.head).length == 9 && cells(out.head).last == "paperSpan(d)")
+    assert(out.length == 4 && rows.map(_.key) == Seq("WQ", "WN"))
+    assert(cells(out(2)).take(2) == Seq("WQ", rows.head.e.toString))
+    assert(cells(out(3)).head == "WN")
+  }
+
+  test("table4 prints the TBC++ total and the per-type shares") {
+    val (rows, out) = run(Eval.table4(Datasets.DefaultDeltaSeconds, Seq(Datasets.byKey("WN")), _))
+    assert(cells(out.head) == Seq("Dataset", "Entities", "Total", "T0", "T1", "T2", "T3", "T4", "T5"))
+    assert(out.length == 3 && rows.length == 1)
+    assert(cells(out(2)).take(3) == Seq("WN", "user-page", wnTotal.toString))
+  }
+
+  test("overallPerf prints every algorithm's time and the TBC++ total") {
+    val (rows, out) = run(Eval.overallPerf(_ => 60000L, Seq(Datasets.byKey("WN")), _))
+    assert(cells(out.head) ==
+      Seq("Dataset", "TBC(ms)", "TBC+(ms)", "TBC++(ms)", "TBE(ms)", "TBE+(ms)", "Total counts"))
+    assert(out.length == 4 && rows.length == 1)
+    val row = cells(out(2))
+    assert(row.head == "WN" && row.length == 7 && row.last == wnTotal.toString)
+    assert(out.last.startsWith("(static algorithms on "))
+  }
+
+  test("deltaSweep prints one row per delta with per-type columns") {
+    val (sweep, out) = run(Eval.deltaSweep("WQ", 60000L, _))
+    assert(out.head == "== WQ: varying delta (TLE = 60s) ==")
+    assert(cells(out(1)) == Seq("delta", "TBC(ms)", "TBC+(ms)", "TBC++(ms)", "TBE(ms)", "TBE+(ms)",
+      "Total", "T0", "T1", "T2", "T3", "T4", "T5"))
+    assert(sweep.map(_._1) == Eval.SweepDeltaDays)
+    assert(out.slice(3, 8).map(cells(_).head) == Eval.SweepDeltaDays.map(d => s"${d}d"))
+    assert(out.slice(3, 8).map(cells(_)(6)) == sweep.map(_._3.counts.sum.toString))
+  }
+
+  test("scalability prints one row per edge fraction") {
+    val (table, out) = run(Eval.scalability("WQ", 60000L, reps = 1, seed = 1, _))
+    assert(out.head == "== WQ: scalability (TLE = 60s, 1 reps) ==")
+    assert(cells(out(1)) == Seq("|E| frac", "TBC(ms)", "TBC+(ms)", "TBC++(ms)"))
+    assert(table.map(_._1) == Eval.ScalabilityFractions)
+    assert(out.slice(3, 8).map(cells(_).head) == Seq("20%", "40%", "60%", "80%", "100%"))
+    assert(table.forall(_._2.forall(_._2.isRight)))
+  }
 }
