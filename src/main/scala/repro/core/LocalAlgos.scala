@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.ConcurrentLinkedQueue
+
 import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import scala.runtime.LongRef
@@ -11,15 +13,22 @@ import repro.util.{ParFold, Sat}
   * vertex as start-vertex, enumerate wedges toward strictly lower-priority
   * middle- and end-vertices, group per end-vertex, and combine.
   *
-  * Start vertices are independent, so [[ParFold]] shares them out over
+  * Each (start, end) group is combined on its own, so the groups are the
+  * units of work. [[ParFold]] shares the start vertices out over
   * `k = ParFold.workers` workers, one at a time in descending priority:
   * only lower-priority vertices can be middle or end vertices, so the hubs
-  * carry the most wedges and go first. Each worker counts into its own
-  * array (or emits into its own sink) and the partials are summed, so the
-  * counts equal a sequential run's.
+  * carry the most wedges and go first. A worker generates the groups of its
+  * start vertex and appends them to one shared queue; before it takes the
+  * next start vertex, it combines queued groups, anyone's, until the queue
+  * is empty. So a hub's groups are spread over every worker, not left to
+  * the one that generated them. Each worker counts into its own array (or
+  * emits into its own sink) and the partials are summed, so the counts
+  * equal a sequential run's.
   *
-  * Memory stays O(|E| + k·max |W(u)|): each worker discards the wedge
-  * groups of one start-vertex before it takes the next.
+  * Memory stays O(|E| + k·max |W(u)|): a worker takes a new start vertex
+  * only once the queue is empty, so queued groups come from at most k start
+  * vertices (one per worker), each worker combines one group at a time, and
+  * a group's wedges are dropped once it is combined.
   */
 object LocalAlgos {
 
@@ -59,17 +68,44 @@ object LocalAlgos {
     h
   }
 
+  /** One (start, end) wedge group waiting to be combined. */
+  private final class Group(val u: Int, val w: Int, var wedges: ArrayBuffer[(Long, Long, Long)]) {
+    /** The instances it yields, when enumeration collects them. */
+    var found: ArrayBuffer[Instance] = null
+  }
+
+  /** The loop `count` and `enumerate` share: [[ParFold]] hands out start
+    * vertices, hubs first; a worker passes the groups of its start vertex
+    * with at least two wedges to `generated`, queues them, then `combine`s
+    * queued groups into its own state until the queue is empty. A failed
+    * combine clears the queue, so the other workers stop draining it.
+    */
+  private def combineGroups[S](g: LocalGraph, delta: Long, variant: Variant)(init: => S)(
+      generated: (Int, Array[Group]) => Unit)(combine: (S, Group) => Unit): Seq[S] = {
+    val prune = variant != Variant.Baseline
+    val order = heaviestFirst(g)
+    val queue = new ConcurrentLinkedQueue[Group]
+    ParFold(g.n, ParFold.workers)(init) { (s, i) =>
+      val u = order(i)
+      val groups = wedgeGroups(g, u, delta, prune).iterator
+        .collect { case (w, ws) if ws.length > 1 => new Group(u, w, ws) }.toArray
+      generated(u, groups)
+      groups.foreach(queue.add)
+      var grp = queue.poll()
+      while (grp != null) {
+        try combine(s, grp)
+        catch { case t: Throwable => queue.clear(); throw t }
+        grp.wedges = null
+        grp = queue.poll()
+      }
+    }
+  }
+
   /** Run `variant` counting over the whole graph. */
   def count(g: LocalGraph, delta: Long, variant: Variant,
             deadline: Long = Long.MaxValue): Array[Long] = {
-    val prune = variant != Variant.Baseline
-    val order = heaviestFirst(g)
-    val partials = ParFold(g.n, ParFold.workers)(new Array[Long](ButterflyType.NumTypes)) { (counts, i) =>
-      val u = order(i)
-      wedgeGroups(g, u, delta, prune).foreach { case (_, ws) =>
-        if (ws.length > 1)
-          LocalCombine.count(ws, g.layer(u).toInt, delta, variant, counts, deadline)
-      }
+    val partials = combineGroups(g, delta, variant)(new Array[Long](ButterflyType.NumTypes))((_, _) => ()) {
+      (counts, grp) => LocalCombine.count(grp.wedges, g.layer(grp.u).toInt, delta, variant, counts, deadline)
     }
     val counts = new Array[Long](ButterflyType.NumTypes)
     partials.foreach(ButterflyType.addCounts(counts, _))
@@ -90,39 +126,33 @@ object LocalAlgos {
 
   /** Run `variant` enumeration; `collect` decides whether instances are
     * materialized (tests) or only counted (benches mirror the paper's
-    * "no output" protocol). Collected instances come in start-vertex order,
-    * whichever worker found them.
+    * "no output" protocol). Collected instances come in start-vertex id
+    * order, then end-vertex first-seen order, whichever worker found them.
     */
   def enumerate(
       g: LocalGraph, delta: Long, variant: Variant,
       collect: Boolean, deadline: Long = Long.MaxValue
   ): (Long, ArrayBuffer[Instance]) = {
-    val prune = variant != Variant.Baseline
-    val order = heaviestFirst(g)
-    val byStart = if (collect) new Array[ArrayBuffer[Instance]](g.n) else null
-    val totals = ParFold(g.n, ParFold.workers)(LongRef.zero()) { (total, i) =>
-      val u = order(i)
-      val layer = g.layer(u).toInt
-      val startOrig = g.origId(u)
+    val byStart = if (collect) new Array[Array[Group]](g.n) else null
+    val totals = combineGroups(g, delta, variant)(LongRef.zero())(
+      (u, groups) => if (collect) byStart(u) = groups) { (total, grp) =>
+      val layer = g.layer(grp.u).toInt
+      val startOrig = g.origId(grp.u)
+      val endOrig = g.origId(grp.w)
       val out = if (collect) new ArrayBuffer[Instance]() else null
-      wedgeGroups(g, u, delta, prune).foreach { case (w, ws) =>
-        if (ws.length > 1) {
-          val endOrig = g.origId(w)
-          val sink = new SetCross.EnumSink {
-            def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                     mid2: Long, s2: Long, a2: Long): Unit = {
-              total.elem += 1
-              if (collect)
-                out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
-            }
-          }
-          LocalCombine.enumerate(ws, layer, delta, variant, sink, deadline)
+      val sink = new SetCross.EnumSink {
+        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
+                 mid2: Long, s2: Long, a2: Long): Unit = {
+          total.elem += 1
+          if (collect)
+            out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
         }
       }
-      if (collect && out.nonEmpty) byStart(u) = out
+      LocalCombine.enumerate(grp.wedges, layer, delta, variant, sink, deadline)
+      grp.found = out
     }
     val out = new ArrayBuffer[Instance]()
-    if (collect) byStart.foreach(b => if (b != null) out ++= b)
+    if (collect) byStart.foreach(gs => if (gs != null) gs.foreach(out ++= _.found))
     (totals.map(_.elem).sum, out)
   }
 

@@ -28,7 +28,9 @@ import repro.graph.TemporalEdge
   *
   * Vertices from both layers are folded into one id space (upper `2u`,
   * lower `2v+1`) so a single join covers wedges starting from either layer;
-  * the type conversion rule resolves the layer with `start & 1`.
+  * the type conversion rule resolves the layer with `start & 1`. Ids must
+  * lie in `[-2^62, 2^62)`, where that folding is one-to-one; the query
+  * fails with that range named on any other id.
   */
 object SparkButterfly {
 
@@ -46,9 +48,18 @@ object SparkButterfly {
     val spark = edges.sparkSession
     import spark.implicits._
 
+    // Folding is one-to-one only for ids in [-2^62, 2^62); any other id
+    // fails the query with the range named, not with a bare overflow.
+    def fold(id: Column, name: String, bit: Int): Column =
+      when(id >= lit(-(1L << 62)) && id < lit(1L << 62), id * 2 + bit)
+        .otherwise(raise_error(concat(
+          lit(s"edge ids must lie in [-2^62, 2^62) to fold into one key space (got $name = "),
+          id.cast("string"), lit(")"))))
+    val u = fold($"u", "u", 0)
+    val v = fold($"v", "v", 1)
     val he = edges
-      .select(($"u" * 2).as("src"), ($"v" * 2 + 1).as("dst"), $"t")
-      .union(edges.select(($"v" * 2 + 1).as("src"), ($"u" * 2).as("dst"), $"t"))
+      .select(u.as("src"), v.as("dst"), $"t")
+      .union(edges.select(v.as("src"), u.as("dst"), $"t"))
 
     // Vertex priority (Definition 4): the total order on (degree, id),
     // compared in the join predicate. No global ranking step is needed.
@@ -71,8 +82,13 @@ object SparkButterfly {
         above($"da", $"a", $"dm", $"m") && above($"da", $"a", $"dw", $"w"))
       .select($"a", $"w", $"m", $"t1", $"t2")
 
+    // Lemma 1 as `Sat.within` decides it: `hi - lo` would overflow for
+    // timestamps 2^63 or more apart, and so would `lo + delta` near the top.
+    val lo = least($"t1", $"t2")
+    val hi = greatest($"t1", $"t2")
     val pruned =
-      if (prune) joined.where($"t1" =!= $"t2" && abs($"t2" - $"t1") <= delta)
+      if (prune) joined.where($"t1" =!= $"t2" &&
+        when(lo > lit(Long.MaxValue - delta), true).otherwise(hi <= lo + delta))
       else joined
     pruned.as[WedgeRow]
   }

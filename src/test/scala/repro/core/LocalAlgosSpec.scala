@@ -177,6 +177,43 @@ class LocalAlgosSpec extends AnyFunSuite {
     assert(LocalAlgos.tbePlus(g, 100, collect = false)._1 == BruteForce.countByType(edges, 100).sum)
   }
 
+  /** One upper vertex joined to most lowers, plus random edges: that hub
+    * is the start vertex of most wedge groups, so the workers share its
+    * groups rather than each combining whole start vertices.
+    */
+  private def hubDominated(seed: Long): IndexedSeq[TemporalEdge] = {
+    val rnd = new scala.util.Random(seed)
+    val hub = IndexedSeq.tabulate(90)(i => TemporalEdge(0, i % 30, rnd.nextInt(400).toLong))
+    hub ++ IndexedSeq.fill(160)(TemporalEdge(
+      1 + rnd.nextInt(40).toLong, rnd.nextInt(30).toLong, rnd.nextInt(400).toLong))
+  }
+
+  for (seed <- 31 to 34)
+    test(s"hub-dominated graph: shared groups match brute force (seed $seed)") {
+      val edges = hubDominated(seed)
+      val g = LocalGraph.fromEdges(edges)
+      checkAll(edges, 60, s"hub-$seed")
+      val total = BruteForce.countByType(edges, 60).sum
+      assert(total > 0)
+      assert(LocalAlgos.tbe(g, 60, collect = false)._1 == total, s"hub-$seed TBE")
+      assert(LocalAlgos.tbePlus(g, 60, collect = false)._1 == total, s"hub-$seed TBE+")
+    }
+
+  test("hub-dominated graph: deadline aborts every variant and later calls are whole") {
+    val edges = hubDominated(35)
+    val g = LocalGraph.fromEdges(edges)
+    val expired = System.nanoTime() - 1
+    intercept[BenchTimeout](LocalAlgos.tbc(g, 60, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbcPlus(g, 60, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbcPlusPlus(g, 60, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbe(g, 60, collect = false, deadline = expired))
+    intercept[BenchTimeout](LocalAlgos.tbePlus(g, 60, collect = false, deadline = expired))
+    checkAll(edges, 60, "hub after timeouts")
+    val (n, found) = LocalAlgos.tbePlus(g, 60)
+    assert(n == BruteForce.countByType(edges, 60).sum && found.length == n)
+    assert(found.sortBy(_.toString) == BruteForce.enumerate(edges, 60).sortBy(_.toString))
+  }
+
   test("collected TBE+ instances come in the same order on every call") {
     val edges = TestUtil.randomEdges(42, 12, 14, 500, 400)
     val g = LocalGraph.fromEdges(edges)

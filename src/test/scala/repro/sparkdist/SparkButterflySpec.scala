@@ -70,6 +70,23 @@ class SparkButterflySpec extends SparkSpec {
     assert(ms(Variant.Baseline) == ms(Variant.Plus))
   }
 
+  // One wedge's two timestamps lie 2^63 or more apart: `t2 - t1` once
+  // overflowed in the Lemma-1 filter and failed the query.
+  for ((label, delta) <- Seq(("100", 100L), ("Long.MaxValue", Long.MaxValue)))
+    test(s"a span past the Long range never counts and never overflows: delta = $label") {
+      val edges = TestUtil.singleButterfly(Long.MaxValue - 1, Long.MinValue + 5, Long.MinValue + 1, Long.MinValue + 6)
+      assert(BruteForce.countByType(edges, delta).sum == 0L)
+      for (variant <- Seq(Variant.Plus, Variant.PlusPlus))
+        assert(SparkButterfly.count(df(edges), delta, variant).sum == 0L, s"spark-${variant.name}")
+    }
+
+  test("ids outside [-2^62, 2^62) are rejected with the range named") {
+    val edges = Seq(TemporalEdge(1L << 62, 0, 1), TemporalEdge(1, 0, 2))
+    val e = intercept[Exception](SparkButterfly.count(df(edges), 100, Variant.PlusPlus))
+    val msg = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
+    assert(msg.contains("[-2^62, 2^62)") && msg.contains(s"u = ${1L << 62}"), msg)
+  }
+
   test("wedge DataFrame honors priority and pruning") {
     val edges = TestUtil.randomEdges(13, 4, 4, 60, 50)
     val pruned = SparkButterfly.wedges(df(edges), 10, prune = true).collect()
