@@ -4,6 +4,7 @@ import scala.util.Random
 
 import repro.core.{LocalAlgos, Variant}
 import repro.graph.{LocalGraph, TemporalEdge}
+import repro.util.Sat
 
 /** ApproxTBC / ApproxTBC+ / ApproxTBC++ (Appendix A).
   *
@@ -21,6 +22,7 @@ object ApproxTBC {
       edges: Seq[TemporalEdge], delta: Long, p: Double, seed: Long,
       variant: Variant = Variant.PlusPlus): Array[Double] = {
     require(p > 0 && p <= 1, s"sampling probability must be in (0, 1], got $p")
+    Sat.requireDelta(delta)
     val rnd = new Random(seed)
     val sampled = edges.filter(_ => rnd.nextDouble() < p)
     val scale = math.pow(p, -4.0)

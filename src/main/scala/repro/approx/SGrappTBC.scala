@@ -5,6 +5,7 @@ import scala.collection.mutable.ArrayBuffer
 import repro.core.{LocalAlgos, Variant}
 import repro.core.ButterflyType.addCounts
 import repro.graph.{LocalGraph, TemporalEdge}
+import repro.util.Sat
 
 /** sGrappTBC / sGrappTBC+ / sGrappTBC++ (Appendix A).
   *
@@ -20,9 +21,11 @@ import repro.graph.{LocalGraph, TemporalEdge}
   * hand-tuned `theta` per dataset; the paper likewise presets a `theta_i`
   * per type (typically giving alpha in [1.0, 1.5]). We reproduce that via
   * [[calibrate]]: run the first `calibWindows` windows, compare against the
-  * exact prefix counts, and solve for `theta_i` at a fixed `alpha`.
+  * exact prefix counts, and solve for `theta_i` at a fixed `alpha` = 1.2.
   */
 object SGrappTBC {
+
+  private val Alpha = 1.2
 
   final case class Estimate(perType: Array[Double], windows: Int, edgesSeen: Long)
 
@@ -32,13 +35,13 @@ object SGrappTBC {
     val out = ArrayBuffer.empty[IndexedSeq[TemporalEdge]]
     val cur = ArrayBuffer.empty[TemporalEdge]
     var uniq = 0
-    var lastT = Long.MinValue
     edges.foreach { e =>
-      val isNewT = e.t != lastT
+      // Only the first edge meets an empty `cur`: a clear is refilled at once.
+      val isNewT = cur.isEmpty || e.t != cur.last.t
       if (isNewT && uniq == nTW) {
         out += cur.toIndexedSeq; cur.clear(); uniq = 0
       }
-      if (isNewT) { uniq += 1; lastT = e.t }
+      if (isNewT) uniq += 1
       cur += e
     }
     if (cur.nonEmpty) out += cur.toIndexedSeq
@@ -52,8 +55,9 @@ object SGrappTBC {
     */
   def estimate(
       edges: IndexedSeq[TemporalEdge], delta: Long, nTW: Int,
-      theta: Array[Double], alpha: Double = 1.2,
+      theta: Array[Double],
       variant: Variant = Variant.PlusPlus): Estimate = {
+    Sat.requireDelta(delta)
     val ws = windows(edges, nTW)
     val within = new Array[Long](6)
     var ec = 0L
@@ -64,7 +68,7 @@ object SGrappTBC {
     val est = new Array[Double](6)
     var i = 0
     while (i < 6) {
-      val inter = if (ws.length > 1) theta(i) * math.pow(ec.toDouble, alpha) else 0.0
+      val inter = if (ws.length > 1) theta(i) * math.pow(ec.toDouble, Alpha) else 0.0
       est(i) = within(i) + inter
       i += 1
     }
@@ -76,7 +80,7 @@ object SGrappTBC {
     */
   def calibrate(
       edges: IndexedSeq[TemporalEdge], delta: Long, nTW: Int,
-      calibWindows: Int, alpha: Double = 1.2,
+      calibWindows: Int,
       variant: Variant = Variant.PlusPlus): Array[Double] = {
     val ws = windows(edges, nTW)
     val prefix = ws.take(math.max(2, calibWindows))
@@ -87,7 +91,7 @@ object SGrappTBC {
     val ec = flat.length.toDouble
     Array.tabulate(6) { i =>
       val inter = exact(i) - within(i)
-      if (inter <= 0 || ec <= 0) 0.0 else inter / math.pow(ec, alpha)
+      if (inter <= 0 || ec <= 0) 0.0 else inter / math.pow(ec, Alpha)
     }
   }
 }

@@ -82,6 +82,7 @@ object LocalAlgos {
     */
   private def combineGroups[S](g: LocalGraph, delta: Long, variant: Variant)(init: => S)(
       generated: (Int, Array[Group]) => Unit)(combine: (S, Group) => Unit): Seq[S] = {
+    Sat.requireDelta(delta)
     val prune = variant != Variant.Baseline
     val order = heaviestFirst(g)
     val queue = new ConcurrentLinkedQueue[Group]

@@ -28,16 +28,17 @@ object SynthBipartite {
       nL: Int,
       nE: Int,
       spanDays: Int,
-      alphaU: Double = 0.9,
-      alphaL: Double = 0.9,
       burstFrac: Double = 0.45,
       burstUsers: Int = 8,
       burstItems: Int = 4,
-      burstWindowDays: Double = 20.0,
       seed: Long = 42L,
   )
 
   val SecondsPerDay: Long = 86400L
+
+  // Zipf exponent of both layers' degrees, and one burst's length in days.
+  private val Alpha = 0.9
+  private val BurstWindowDays = 20.0
 
   /** Cumulative zipf sampler over keys [0, n) with exponent `alpha`. */
   private final class Zipf(n: Int, alpha: Double, rnd: Random) {
@@ -61,10 +62,10 @@ object SynthBipartite {
     */
   def generate(cfg: Config): IndexedSeq[TemporalEdge] = {
     val rnd = new Random(cfg.seed)
-    val zu = new Zipf(cfg.nU, cfg.alphaU, rnd)
-    val zl = new Zipf(cfg.nL, cfg.alphaL, rnd)
+    val zu = new Zipf(cfg.nU, Alpha, rnd)
+    val zl = new Zipf(cfg.nL, Alpha, rnd)
     val span = cfg.spanDays * SecondsPerDay
-    val burstWindow = math.max(1L, (cfg.burstWindowDays * SecondsPerDay).toLong)
+    val burstWindow = math.max(1L, (BurstWindowDays * SecondsPerDay).toLong)
 
     val out = new ArrayBuffer[TemporalEdge](cfg.nE)
 
@@ -101,7 +102,7 @@ object SynthBipartite {
   *
   * `paper*` fields carry the original statistics from Table 3 so benches can
   * print the paper numbers next to ours. Scaled sizes divide |E|, |U|, |L|
-  * by `scaleDiv` with small floors so the layer ratios — which drive the
+  * by `Div` with small floors so the layer ratios — which drive the
   * wedge-set shape and therefore the relative hardness ordering — survive.
   */
 object Datasets {
@@ -119,11 +120,11 @@ object Datasets {
   private def scaled(
       key: String, entities: String,
       e: Long, u: Long, l: Long, spanDays: Double,
-      div: Long, burstFrac: Double, burstUsers: Int, burstItems: Int,
+      burstFrac: Double, burstUsers: Int, burstItems: Int,
       seed: Long): Spec = {
-    val nU = math.max(12L, u / div).toInt
-    val nL = math.max(12L, l / div).toInt
-    val nE = math.max(500L, e / div).toInt
+    val nU = math.max(12L, u / Div).toInt
+    val nL = math.max(12L, l / Div).toInt
+    val nE = math.max(500L, e / Div).toInt
     Spec(key, entities,
       SynthBipartite.Config(
         nU = nU, nL = nL, nE = nE, spanDays = math.max(30, spanDays.toInt),
@@ -132,21 +133,22 @@ object Datasets {
       paperE = e, paperU = u, paperL = l, paperSpanDays = spanDays)
   }
 
+  // Declared before `all`, which reads it while the object initialises.
   private val Div = 256L
 
   /** All 11 datasets of Table 3, scaled by 1/256 (with floors). */
   val all: Seq[Spec] = Seq(
-    scaled("WQ", "user-page",        776458L,     961L,  640482L, 4625.66, Div, 0.45, 6,  4, 101),
-    scaled("WN", "user-page",        907499L,    2200L,   35979L, 4857.34, Div, 0.50, 8,  5, 102),
-    scaled("SO", "user-post",       1301942L,  545196L,   96680L, 1153.00, Div, 0.40, 6,  4, 103),
-    scaled("CU", "tag-publication", 2411819L,  153277L,  731769L, 1203.10, Div, 0.45, 6,  4, 104),
-    scaled("BS", "tag-publication", 2555080L,  204673L,  767447L, 7665.43, Div, 0.45, 6,  4, 105),
-    scaled("TW", "user-tag",        4664605L,  175214L,  530418L, 1155.34, Div, 0.40, 8,  5, 106),
-    scaled("AM", "user-product",    5838041L, 2146057L, 1230915L, 3650.00, Div, 0.40, 6,  4, 107),
-    scaled("ER", "user-page",       8349235L,    7816L, 1266349L, 4976.35, Div, 0.50, 10, 5, 108),
-    scaled("EP", "user-product",   13668320L,  120492L,  755760L,  504.96, Div, 0.50, 8,  5, 109),
-    scaled("LF", "user-band",      19150868L,     992L,  174077L, 3149.77, Div, 0.55, 12, 6, 110),
-    scaled("WT", "user-page",      44788448L,   66140L, 5826113L, 5941.22, Div, 0.50, 10, 5, 111),
+    scaled("WQ", "user-page",        776458L,     961L,  640482L, 4625.66, 0.45, 6,  4, 101),
+    scaled("WN", "user-page",        907499L,    2200L,   35979L, 4857.34, 0.50, 8,  5, 102),
+    scaled("SO", "user-post",       1301942L,  545196L,   96680L, 1153.00, 0.40, 6,  4, 103),
+    scaled("CU", "tag-publication", 2411819L,  153277L,  731769L, 1203.10, 0.45, 6,  4, 104),
+    scaled("BS", "tag-publication", 2555080L,  204673L,  767447L, 7665.43, 0.45, 6,  4, 105),
+    scaled("TW", "user-tag",        4664605L,  175214L,  530418L, 1155.34, 0.40, 8,  5, 106),
+    scaled("AM", "user-product",    5838041L, 2146057L, 1230915L, 3650.00, 0.40, 6,  4, 107),
+    scaled("ER", "user-page",       8349235L,    7816L, 1266349L, 4976.35, 0.50, 10, 5, 108),
+    scaled("EP", "user-product",   13668320L,  120492L,  755760L,  504.96, 0.50, 8,  5, 109),
+    scaled("LF", "user-band",      19150868L,     992L,  174077L, 3149.77, 0.55, 12, 6, 110),
+    scaled("WT", "user-page",      44788448L,   66140L, 5826113L, 5941.22, 0.50, 10, 5, 111),
   )
 
   def byKey(key: String): Spec =

@@ -1,11 +1,12 @@
 package repro.sparkdist
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.{Instance, LocalCombine, SetCross, Variant}
 import repro.graph.TemporalEdge
+import repro.util.Sat
 
 /** Distributed temporal butterfly counting/enumeration on Spark DataFrames.
   *
@@ -45,6 +46,7 @@ object SparkButterfly {
     * strictly higher priority than both its middle- and end-vertex.
     */
   def wedges(edges: DataFrame, delta: Long, prune: Boolean): Dataset[WedgeRow] = {
+    Sat.requireDelta(delta)
     val spark = edges.sparkSession
     import spark.implicits._
 
@@ -93,21 +95,29 @@ object SparkButterfly {
     pruned.as[WedgeRow]
   }
 
+  /** The group shell of `count` and `enumerate`: wedges keyed by (a, w),
+    * groups of fewer than two wedges skipped, the rest passed to `combine`.
+    */
+  private def combineGroups[T: Encoder](edges: DataFrame, delta: Long, variant: Variant)(
+      combine: (Long, Long, ArrayBuffer[(Long, Long, Long)]) => Iterator[T]): Dataset[T] = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    wedges(edges, delta, prune = variant != Variant.Baseline)
+      .groupByKey(r => (r.a, r.w))
+      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
+        val buf = it.map(r => (r.m, r.t1, r.t2)).to(ArrayBuffer)
+        if (buf.length < 2) Iterator.empty else combine(key._1, key._2, buf)
+      }
+  }
+
   /** Exact per-type counts, one slot per butterfly type. */
   def count(edges: DataFrame, delta: Long, variant: Variant = Variant.PlusPlus): Array[Long] = {
     val spark = edges.sparkSession
     import spark.implicits._
-    val perType = wedges(edges, delta, prune = variant != Variant.Baseline)
-      .groupByKey(r => (r.a, r.w))
-      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
-        val a = key._1
-        val buf = it.map(r => (r.m, r.t1, r.t2)).to(ArrayBuffer)
-        if (buf.length < 2) Iterator.empty
-        else {
-          val counts = new Array[Long](6)
-          LocalCombine.count(buf, (a & 1L).toInt, delta, variant, counts)
-          Iterator.range(0, 6).map(i => (i, counts(i))).filter(_._2 != 0L)
-        }
+    val perType = combineGroups(edges, delta, variant) { (a, _, buf) =>
+        val counts = new Array[Long](6)
+        LocalCombine.count(buf, (a & 1L).toInt, delta, variant, counts)
+        Iterator.range(0, 6).map(i => (i, counts(i))).filter(_._2 != 0L)
       }
       .toDF("btype", "cnt")
       .groupBy($"btype").agg(sum($"cnt").as("cnt"))
@@ -117,40 +127,24 @@ object SparkButterfly {
     out
   }
 
-  /** Counts as a 6-row DataFrame `(btype, cnt)` for oracle comparison. */
-  def countByTypeDF(edges: DataFrame, delta: Long,
-                    variant: Variant = Variant.PlusPlus): DataFrame = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val c = count(edges, delta, variant)
-    c.zipWithIndex.map { case (n, i) => (i, n) }.toSeq.toDF("btype", "cnt")
-  }
-
   /** Distributed enumeration (TBE+ inside each group). */
   def enumerate(edges: DataFrame, delta: Long,
                 variant: Variant = Variant.Plus): Dataset[Instance] = {
     val spark = edges.sparkSession
     import spark.implicits._
-    wedges(edges, delta, prune = variant != Variant.Baseline)
-      .groupByKey(r => (r.a, r.w))
-      .flatMapGroups { (key: (Long, Long), it: Iterator[WedgeRow]) =>
-        val (a, w) = key
-        val buf = it.map(r => (r.m, r.t1, r.t2)).to(ArrayBuffer)
-        if (buf.length < 2) Iterator.empty
-        else {
-          val layer = (a & 1L).toInt
-          val startOrig = a >> 1
-          val endOrig = w >> 1
-          val out = new ArrayBuffer[Instance]()
-          val sink = new SetCross.EnumSink {
-            def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                     mid2: Long, s2: Long, a2: Long): Unit =
-              out += Instance.canonical(btype, layer, startOrig, endOrig,
-                mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
-          }
-          LocalCombine.enumerate(buf, layer, delta, variant, sink)
-          out.iterator
-        }
+    combineGroups(edges, delta, variant) { (a, w, buf) =>
+      val layer = (a & 1L).toInt
+      val startOrig = a >> 1
+      val endOrig = w >> 1
+      val out = new ArrayBuffer[Instance]()
+      val sink = new SetCross.EnumSink {
+        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
+                 mid2: Long, s2: Long, a2: Long): Unit =
+          out += Instance.canonical(btype, layer, startOrig, endOrig,
+            mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
       }
+      LocalCombine.enumerate(buf, layer, delta, variant, sink)
+      out.iterator
+    }
   }
 }

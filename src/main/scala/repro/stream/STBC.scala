@@ -30,6 +30,7 @@ object STBC {
     * must currently be present in `g`.
     */
   def countContaining(g: StreamGraph, e: TemporalEdge, delta: Long): Array[Long] = {
+    Sat.requireDelta(delta)
     val counts = new Array[Long](6)
     val uKey = g.upperKey(e.u)
     val vKey = g.lowerKey(e.v)

@@ -59,6 +59,7 @@ object STBCPlus {
     * The edge must be present in `g`.
     */
   def countExtreme(g: StreamGraph, e: TemporalEdge, delta: Long, asMin: Boolean): Array[Long] = {
+    Sat.requireDelta(delta)
     val counts = new Array[Long](6)
     val uKey = g.upperKey(e.u)
     val vKey = g.lowerKey(e.v)
@@ -122,6 +123,7 @@ object STBCPlus {
     */
   def insertBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
+    Sat.requireDelta(delta)
     batch.foreach(g.insert)
     batchCount(g, batch, delta, asMin = false, threads)
   }
@@ -132,6 +134,7 @@ object STBCPlus {
     */
   def deleteBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
+    Sat.requireDelta(delta)
     val removed = batchCount(g, batch, delta, asMin = true, threads)
     batch.foreach(g.delete)
     removed

@@ -2,6 +2,7 @@ package repro.stream
 
 import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
+import repro.util.Sat
 
 /** Sliding-window streaming temporal butterfly counting (§ 6.2).
   *
@@ -24,6 +25,7 @@ object SlidingWindow {
       threads: Int = 0,
       onStep: Step => Unit = _ => ()): Array[Long] = {
     require(window > 0 && stride > 0 && stride <= window, "need 0 < stride <= window")
+    Sat.requireDelta(delta)
     require(edges.sliding(2).forall(p => p.length < 2 || p(0).t <= p(1).t),
       "stream edges must be chronologically sorted")
 

@@ -10,6 +10,10 @@ package repro.util
   */
 object Sat {
 
+  /** Entry points reject `delta < 0`: `add(t, -delta)` is exact only for `delta >= 0`. */
+  def requireDelta(delta: Long): Unit =
+    require(delta >= 0, s"delta must be >= 0, got delta = $delta")
+
   def add(a: Long, b: Long): Long = {
     val r = a + b
     if (((a ^ r) & (b ^ r)) < 0) (if (b > 0) Long.MaxValue else Long.MinValue) else r

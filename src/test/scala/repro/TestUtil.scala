@@ -2,6 +2,8 @@ package repro
 
 import scala.util.Random
 
+import org.scalatest.Assertions
+
 import repro.graph.TemporalEdge
 
 /** Shared helpers for the unit-test suites. */
@@ -31,4 +33,10 @@ object TestUtil {
   def assertCountsEqual(expected: Array[Long], got: Array[Long], label: String): Unit =
     assert(expected.sameElements(got),
       s"$label: expected ${expected.mkString("[", ",", "]")} got ${got.mkString("[", ",", "]")}")
+
+  /** `f` must reject the negative `delta` with an error that names it. */
+  def assertRejectsDelta(delta: Long, label: String)(f: => Any): Unit = {
+    val e = Assertions.intercept[IllegalArgumentException](f)
+    assert(e.getMessage.contains(s"delta = $delta"), s"$label: ${e.getMessage}")
+  }
 }

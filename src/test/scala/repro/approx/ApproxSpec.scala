@@ -70,6 +70,14 @@ class ApproxSpec extends AnyFunSuite {
     assert(spread(0.3) > spread(0.9))
   }
 
+  test("estimators reject a negative delta, even with nothing to count") {
+    for (delta <- Seq(-1L, Long.MinValue); edges <- Seq(stream(8, 60), IndexedSeq.empty[TemporalEdge])) {
+      TestUtil.assertRejectsDelta(delta, "ApproxTBC")(ApproxTBC.estimate(edges, delta, 0.5, seed = 1))
+      TestUtil.assertRejectsDelta(delta, "sGrapp estimate")(SGrappTBC.estimate(edges, delta, 10, Array.fill(6)(0.0)))
+      TestUtil.assertRejectsDelta(delta, "sGrapp calibrate")(SGrappTBC.calibrate(edges, delta, 10, calibWindows = 2))
+    }
+  }
+
   // ---------- sGrappTBC ----------
 
   test("window segmentation respects unique-timestamp budgets") {
@@ -79,6 +87,13 @@ class ApproxSpec extends AnyFunSuite {
     assert(ws.map(_.length).sum == edges.length)
     assert(ws.forall(w => w.map(_.t).distinct.length <= 2))
     assert(ws.length == 3)
+  }
+
+  test("window segmentation counts a first timestamp at Long.MinValue") {
+    for (t0 <- Seq(0L, Long.MinValue)) {
+      val edges = IndexedSeq(t0, t0 + 1, t0 + 2).map(t => TemporalEdge(0L, 0L, t))
+      assert(SGrappTBC.windows(edges, nTW = 1).length == 3, s"t0 = $t0")
+    }
   }
 
   test("a single window with theta=0 is exact") {

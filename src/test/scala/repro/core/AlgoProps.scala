@@ -3,6 +3,7 @@ package repro.core
 import org.scalacheck.{Gen, Prop, Properties}
 
 import repro.graph.{LocalGraph, TemporalEdge}
+import repro.stream.SlidingWindow
 
 /** ScalaCheck properties tying the optimized algorithms to the brute-force
   * reference over arbitrary generated graphs (run by sbt's native
@@ -15,14 +16,18 @@ object AlgoProps extends Properties("TemporalButterfly") {
     nL <- Gen.choose(2, 6)
     n  <- Gen.choose(0, 90)
     tMax <- Gen.oneOf(6L, 40L, 400L)
+    // Bases put timestamps at both ends of the Long range and ids at the
+    // ends of the [-2^62, 2^62) range that the stream and Spark paths fold.
+    tBase <- Gen.oneOf(0L, -200L, Long.MinValue, Long.MaxValue - tMax)
+    idBase <- Gen.oneOf(0L, -3L, -(1L << 62), (1L << 62) - 10)
     edges <- Gen.listOfN(n, for {
       u <- Gen.choose(0, nU - 1)
       v <- Gen.choose(0, nL - 1)
       t <- Gen.choose(0L, tMax)
-    } yield TemporalEdge(u.toLong, v.toLong, t))
+    } yield TemporalEdge(idBase + u, idBase + v, tBase + t))
   } yield edges
 
-  val genDelta: Gen[Long] = Gen.oneOf(1L, 5L, 25L, 100L, 100000L)
+  val genDelta: Gen[Long] = Gen.oneOf(0L, 1L, 5L, 25L, 100L, 100000L, Long.MaxValue)
 
   property("TBC == brute force") = Prop.forAll(genEdges, genDelta) { (edges, delta) =>
     val g = LocalGraph.fromEdges(edges)
@@ -58,5 +63,16 @@ object AlgoProps extends Properties("TemporalButterfly") {
       val a = LocalAlgos.tbcPlusPlus(LocalGraph.fromEdges(edges), delta)
       val b = LocalAlgos.tbcPlusPlus(LocalGraph.fromEdges(edges.reverse), delta)
       a.sameElements(b)
+    }
+
+  property("sliding window final counts == brute force on the last window") =
+    Prop.forAll(genEdges, genDelta, Gen.choose(1, 40), Gen.choose(1, 40)) { (edges, delta, window, s) =>
+      val stream = edges.sortBy(_.t).toIndexedSeq
+      Seq(0, 1, 3).forall { threads =>
+        var last: SlidingWindow.Step = null
+        val fin = SlidingWindow.run(stream, window, math.min(s, window), delta, threads,
+          onStep = step => last = step)
+        fin.sameElements(BruteForce.countByType(stream.slice(last.windowStart, last.windowEnd), delta))
+      }
     }
 }

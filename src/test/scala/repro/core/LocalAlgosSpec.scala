@@ -90,6 +90,15 @@ class LocalAlgosSpec extends AnyFunSuite {
       }
     }
 
+  test("a negative delta is rejected by every variant") {
+    val g = LocalGraph.fromEdges(TestUtil.randomEdges(3, 5, 6, 200, 300))
+    for (delta <- Seq(-1L, Long.MinValue); v <- Variant.all) {
+      TestUtil.assertRejectsDelta(delta, s"count ${v.name}")(LocalAlgos.count(g, delta, v))
+      TestUtil.assertRejectsDelta(delta, s"enumerate ${v.name}")(
+        LocalAlgos.enumerate(g, delta, v, collect = true))
+    }
+  }
+
   test("equal timestamps kill the butterfly") {
     val edges = TestUtil.singleButterfly(1, 2, 2, 4)
     checkAll(edges, 100, "equal stamps")

@@ -48,7 +48,7 @@ class OracleEquivalenceSpec extends SparkSpec {
       val edges = TestUtil.randomEdges(seed * 17, 4, 4, 70, 50)
       val df = edgesDF(edges)
       for (variant <- Variant.all) {
-        val sparkCounts = SparkButterfly.countByTypeDF(df, 25, variant)
+        val sparkCounts = countsToDF(SparkButterfly.count(df, 25, variant))
         Oracle.assertEquivalent(sparkCounts, OracleSql.countByType(25), "edges" -> df)
       }
     }

@@ -87,6 +87,18 @@ class SparkButterflySpec extends SparkSpec {
     assert(msg.contains("[-2^62, 2^62)") && msg.contains(s"u = ${1L << 62}"), msg)
   }
 
+  test("a negative delta is rejected on the driver") {
+    val d = df(TestUtil.singleButterfly(1, 2, 3, 4))
+    for (delta <- Seq(-1L, Long.MinValue)) {
+      for (prune <- Seq(true, false))
+        TestUtil.assertRejectsDelta(delta, s"wedges, prune = $prune")(SparkButterfly.wedges(d, delta, prune))
+      for (v <- Variant.all) {
+        TestUtil.assertRejectsDelta(delta, s"count ${v.name}")(SparkButterfly.count(d, delta, v))
+        TestUtil.assertRejectsDelta(delta, s"enumerate ${v.name}")(SparkButterfly.enumerate(d, delta, v))
+      }
+    }
+  }
+
   test("wedge DataFrame honors priority and pruning") {
     val edges = TestUtil.randomEdges(13, 4, 4, 60, 50)
     val pruned = SparkButterfly.wedges(df(edges), 10, prune = true).collect()

@@ -147,6 +147,28 @@ class StreamSpec extends AnyFunSuite {
       }
     }
 
+  // At delta = Long.MinValue, `-delta` is Long.MinValue again, so STBC+'s
+  // insert range [t - delta, t) once took in every earlier edge and the
+  // sliding window reported ~49,000 butterflies on this stream, which has
+  // none within a negative delta.
+  test("stream counters reject a negative delta before changing the graph") {
+    val edges = sortedStream(3, 5, 6, 200, 300)
+    for (delta <- Seq(-1L, Long.MinValue)) {
+      val g = new StreamGraph
+      edges.take(100).foreach(g.insert)
+      TestUtil.assertRejectsDelta(delta, "STBC")(STBC.countContaining(g, edges(99), delta))
+      for (asMin <- Seq(true, false))
+        TestUtil.assertRejectsDelta(delta, s"countExtreme asMin = $asMin")(
+          STBCPlus.countExtreme(g, edges(0), delta, asMin))
+      TestUtil.assertRejectsDelta(delta, "insertBatch")(STBCPlus.insertBatch(g, edges.slice(100, 120), delta))
+      TestUtil.assertRejectsDelta(delta, "deleteBatch")(STBCPlus.deleteBatch(g, edges.take(20), delta))
+      assert(g.numEdges == 100)
+      for (threads <- Seq(0, 1, 3))
+        TestUtil.assertRejectsDelta(delta, s"sliding window, threads = $threads")(
+          SlidingWindow.run(edges, window = 200, stride = 50, delta, threads))
+    }
+  }
+
   // ---------- STBC+: batch counting ----------
 
   for (seed <- 1 to 5)
