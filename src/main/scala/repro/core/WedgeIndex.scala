@@ -42,10 +42,12 @@ trait WedgeIndex {
   def visitCases(curTa: Long)(f: (Int, Long, Long, Long) => Unit): Unit
 }
 
-/** The hashmap `HP` of TBC+ (Algorithm 3/4, Table 1): one ordered array of
-  * end times per start time. Arrays stay sorted ascending by construction
-  * (wedges with equal `ts` arrive in `ta`-ascending order and deletions pop
-  * from the back), so case c13/c15 resolve with one rank query per key.
+/** The hashmap `HP` of TBC+ (Algorithm 3/4, Table 1), without a hash:
+  * `SetCross` inserts in descending rounds of `ts`, `ta` ascending within a
+  * round, so a new key is always the smallest (an out-of-order insert
+  * throws). `keys(0 until n)` holds the live start times descending and
+  * `tas(i)`/`mids(i)` the wedges of `keys(i)` ascending by `ta`, so case
+  * c13/c15 take one rank query per key and deletions pop from the back.
   *
   * Deliberately keeps the paper's cost profile: `deleteAbove` and
   * `countCases` traverse every live key — the per-key `alpha log(n/alpha)`
@@ -53,51 +55,64 @@ trait WedgeIndex {
   */
 final class HPIndex(withMids: Boolean) extends WedgeIndex {
 
-  private final class Bucket {
-    val ta = new LongBuf
-    val mid: LongBuf = if (withMids) new LongBuf else null
-  }
-
-  private val map = mutable.HashMap.empty[Long, Bucket]
+  private var keys = new Array[Long](8)
+  private var tas = new Array[LongBuf](8)
+  private var mids = new Array[LongBuf](8)
+  private var n = 0
 
   override def insert(ts: Long, ta: Long, mid: Long): Unit = {
-    val b = map.getOrElseUpdate(ts, new Bucket)
-    b.ta += ta
-    if (withMids) b.mid += mid
+    if (n == 0 || ts < keys(n - 1)) {
+      if (n == keys.length) {
+        keys = keys.padTo(2 * n, 0L); tas = tas.padTo(2 * n, null); mids = mids.padTo(2 * n, null)
+      }
+      if (tas(n) == null) { tas(n) = new LongBuf; if (withMids) mids(n) = new LongBuf } // else reuse
+      keys(n) = ts; n += 1
+    } else require(ts == keys(n - 1), s"HPIndex: start time $ts inserted above start time ${keys(n - 1)}")
+    tas(n - 1) += ta; if (withMids) mids(n - 1) += mid
   }
 
-  override def deleteAbove(bound: Long): Unit =
-    map.filterInPlace { (_, b) =>
-      while (b.ta.nonEmpty && b.ta.last > bound) {
-        b.ta.pop()
-        if (withMids) b.mid.pop()
+  override def deleteAbove(bound: Long): Unit = {
+    var live = 0; var i = 0
+    while (i < n) {
+      val b = tas(i); val m = mids(i)
+      while (b.nonEmpty && b.last > bound) { b.pop(); if (withMids) m.pop() }
+      if (b.nonEmpty) { // compact: swap the bucket down over the emptied ones
+        keys(live) = keys(i); tas(i) = tas(live); mids(i) = mids(live); tas(live) = b; mids(live) = m
+        live += 1
       }
-      b.ta.nonEmpty
+      i += 1
     }
+    n = live
+  }
 
-  override def countCases(curTa: Long, out: Array[Long]): Unit =
-    map.foreach { case (ts, b) =>
-      if (ts > curTa) out(0) += b.ta.length
+  override def countCases(curTa: Long, out: Array[Long]): Unit = {
+    var i = 0
+    while (i < n) {
+      val ts = keys(i); val b = tas(i)
+      if (ts > curTa) out(0) += b.length
       else if (ts < curTa) {
-        out(1) += b.ta.length - b.ta.rank(curTa, inclusive = true)  // ta > curTa
-        out(2) += b.ta.rank(curTa, inclusive = false)               // ta < curTa
+        out(1) += b.length - b.rank(curTa, inclusive = true)  // ta > curTa
+        out(2) += b.rank(curTa, inclusive = false)            // ta < curTa
       }
+      i += 1
     }
+  }
 
-  override def visitCases(curTa: Long)(f: (Int, Long, Long, Long) => Unit): Unit =
-    map.foreach { case (ts, b) =>
-      if (ts > curTa) {
-        var i = 0
-        while (i < b.ta.length) { f(0, ts, b.ta(i), b.mid(i)); i += 1 }
-      } else if (ts < curTa) {
-        // Range traversal as in TBE+ (Algorithm 5): walk from the back while
-        // ta > curTa (intersect), from the front while ta < curTa (cover).
-        var i = b.ta.length - 1
-        while (i >= 0 && b.ta(i) > curTa) { f(1, ts, b.ta(i), b.mid(i)); i -= 1 }
+  override def visitCases(curTa: Long)(f: (Int, Long, Long, Long) => Unit): Unit = {
+    var k = 0
+    while (k < n) {
+      val ts = keys(k); val b = tas(k); val m = mids(k); var i = 0
+      if (ts > curTa) while (i < b.length) { f(0, ts, b(i), m(i)); i += 1 }
+      else if (ts < curTa) {
+        // TBE+'s range traversal (Algorithm 5): c13 from the back, c15 from the front.
+        i = b.length - 1
+        while (i >= 0 && b(i) > curTa) { f(1, ts, b(i), m(i)); i -= 1 }
         i = 0
-        while (i < b.ta.length && b.ta(i) < curTa) { f(2, ts, b.ta(i), b.mid(i)); i += 1 }
+        while (i < b.length && b(i) < curTa) { f(2, ts, b(i), m(i)); i += 1 }
       }
+      k += 1
     }
+  }
 }
 
 /** The twin balanced trees `TA`/`TS` of TBC++ (§ 4.4, Algorithm 6).

@@ -20,12 +20,20 @@ object AlgoProps extends Properties("TemporalButterfly") {
     // ends of the [-2^62, 2^62) range that the stream and Spark paths fold.
     tBase <- Gen.oneOf(0L, -200L, Long.MinValue, Long.MaxValue - tMax)
     idBase <- Gen.oneOf(0L, -3L, -(1L << 62), (1L << 62) - 10)
+    // A hub-dominated draw adds hubDegree·nL edges from upper 0 to random
+    // lowers: it reaches most lowers at several times, so the groups of one
+    // start vertex hold many live start times at once.
+    hubDegree <- Gen.frequency(2 -> Gen.const(0), 1 -> Gen.choose(2, 8))
+    hub <- Gen.listOfN(hubDegree * nL, for {
+      v <- Gen.choose(0, nL - 1)
+      t <- Gen.choose(0L, tMax)
+    } yield TemporalEdge(idBase, idBase + v, tBase + t))
     edges <- Gen.listOfN(n, for {
       u <- Gen.choose(0, nU - 1)
       v <- Gen.choose(0, nL - 1)
       t <- Gen.choose(0L, tMax)
     } yield TemporalEdge(idBase + u, idBase + v, tBase + t))
-  } yield edges
+  } yield hub ++ edges
 
   val genDelta: Gen[Long] = Gen.oneOf(0L, 1L, 5L, 25L, 100L, 100000L, Long.MaxValue)
 
@@ -43,6 +51,14 @@ object AlgoProps extends Properties("TemporalButterfly") {
     val g = LocalGraph.fromEdges(edges)
     LocalAlgos.tbcPlusPlus(g, delta).sameElements(BruteForce.countByType(edges, delta))
   }
+
+  property("TBE multiset == brute force multiset") =
+    Prop.forAll(genEdges, genDelta) { (edges, delta) =>
+      val g = LocalGraph.fromEdges(edges)
+      val got = LocalAlgos.tbe(g, delta)._2.groupBy(identity).view.mapValues(_.size).toMap
+      val want = BruteForce.enumerate(edges, delta).groupBy(identity).view.mapValues(_.size).toMap
+      got == want
+    }
 
   property("TBE+ multiset == brute force multiset") =
     Prop.forAll(genEdges, genDelta) { (edges, delta) =>

@@ -11,12 +11,12 @@ class WedgeIndexSpec extends AnyFunSuite {
 
   /** Reference: plain list with linear-scan case counting. */
   private final class RefIndex {
-    val items = ArrayBuffer.empty[(Long, Long)]
-    def insert(ts: Long, ta: Long): Unit = items += ((ts, ta))
+    val items = ArrayBuffer.empty[(Long, Long, Long)]
+    def insert(ts: Long, ta: Long, mid: Long = 0L): Unit = items += ((ts, ta, mid))
     def deleteAbove(bound: Long): Unit = items.filterInPlace(_._2 <= bound)
     def cases(curTa: Long): (Long, Long, Long) = {
       var c0 = 0L; var c1 = 0L; var c2 = 0L
-      items.foreach { case (ts, ta) =>
+      items.foreach { case (ts, ta, _) =>
         if (ts > curTa) c0 += 1
         else if (ts < curTa) {
           if (ta > curTa) c1 += 1
@@ -25,6 +25,30 @@ class WedgeIndexSpec extends AnyFunSuite {
       }
       (c0, c1, c2)
     }
+    /** `(case, ts, ta, mid)` of every stored wedge matching a case. */
+    def visits(curTa: Long): Seq[(Int, Long, Long, Long)] = items.toSeq.flatMap { case (ts, ta, mid) =>
+      if (ts > curTa) Some((0, ts, ta, mid))
+      else if (ts < curTa && ta > curTa) Some((1, ts, ta, mid))
+      else if (ts < curTa && ta < curTa) Some((2, ts, ta, mid))
+      else None
+    }
+  }
+
+  private def visits(idx: WedgeIndex, curTa: Long): Seq[(Int, Long, Long, Long)] = {
+    val seen = ArrayBuffer.empty[(Int, Long, Long, Long)]
+    idx.visitCases(curTa)((c, ts, ta, mid) => seen += ((c, ts, ta, mid)))
+    seen.toSeq
+  }
+
+  /** `idx`'s counts for `curTa`, then its visits as a multiset, against the
+    * reference's.
+    */
+  private def assertMatches(idx: HPIndex, ref: RefIndex, curTa: Long, label: String): Unit = {
+    val out = new Array[Long](3)
+    idx.countCases(curTa, out)
+    val (c0, c1, c2) = ref.cases(curTa)
+    assert(out.toSeq == Seq(c0, c1, c2), s"$label countCases($curTa)")
+    assert(visits(idx, curTa).sorted == ref.visits(curTa).sorted, s"$label visitCases($curTa)")
   }
 
   private def mkIndexes(): Seq[(String, WedgeIndex)] =
@@ -75,6 +99,62 @@ class WedgeIndexSpec extends AnyFunSuite {
       assert(out.sameElements(seen), s"curTa=$curTa")
     }
   }
+
+  test("HPIndex rejects an insert above the last stored start time, naming both") {
+    val idx = new HPIndex(withMids = false)
+    idx.insert(10L, 20L, 0L)
+    idx.insert(10L, 25L, 0L)
+    idx.insert(7L, 9L, 0L)
+    val e = intercept[IllegalArgumentException](idx.insert(12L, 30L, 0L))
+    assert(e.getMessage.contains("start time 12") && e.getMessage.contains("start time 7"), e.getMessage)
+  }
+
+  test("HPIndex deleteAbove empties front, middle and back buckets and keeps answering") {
+    val idx = new HPIndex(withMids = true)
+    val ref = new RefIndex
+    def ins(ts: Long, ta: Long, mid: Long): Unit = { idx.insert(ts, ta, mid); ref.insert(ts, ta, mid) }
+    // Start times 100 (front), 80 (middle) and 60 (back) hold only wedges
+    // ending above 110; 90 and 70 keep some.
+    ins(100, 150, 1); ins(90, 91, 2); ins(90, 120, 3); ins(80, 140, 4)
+    ins(70, 71, 5); ins(70, 75, 6); ins(60, 130, 7)
+    idx.deleteAbove(110); ref.deleteAbove(110)
+    val probes = Seq(50L, 65L, 70L, 73L, 80L, 85L, 91L, 95L, 100L, 105L)
+    probes.foreach(assertMatches(idx, ref, _, "after delete"))
+    // Inserts go on below the last live key, into reused buckets, and
+    // above the deleted back key 60.
+    ins(70, 80, 8); ins(65, 66, 9); ins(40, 45, 10); ins(40, 104, 11)
+    probes.foreach(assertMatches(idx, ref, _, "after reinsert"))
+    idx.deleteAbove(72); ref.deleteAbove(72)
+    probes.foreach(assertMatches(idx, ref, _, "after second delete"))
+    idx.deleteAbove(0); ref.deleteAbove(0)
+    probes.foreach(assertMatches(idx, ref, _, "when empty"))
+    ins(500, 501, 12)
+    probes.foreach(assertMatches(idx, ref, _, "after emptying"))
+  }
+
+  for (seed <- 1 to 4)
+    test(s"HPIndex with mids visits the reference's (case, ts, ta, mid) multiset (seed $seed)") {
+      val rnd = new Random(seed)
+      val idx = new HPIndex(withMids = true)
+      val ref = new RefIndex
+      var curTs = 1000L
+      for (step <- 1 to 300) {
+        rnd.nextInt(3) match {
+          case 0 =>
+            curTs -= 1 + rnd.nextInt(3)
+            val tas = Seq.fill(1 + rnd.nextInt(3))(curTs + 1 + rnd.nextInt(40).toLong).sorted
+            tas.foreach { ta =>
+              val mid = rnd.nextInt(5).toLong
+              idx.insert(curTs, ta, mid); ref.insert(curTs, ta, mid)
+            }
+          case 1 =>
+            val bound = curTs + rnd.nextInt(45)
+            idx.deleteAbove(bound); ref.deleteAbove(bound)
+          case 2 =>
+            assertMatches(idx, ref, curTs - 1 + rnd.nextInt(45), s"step $step")
+        }
+      }
+    }
 
   test("TreeIndex rejects enumeration") {
     intercept[UnsupportedOperationException](new TreeIndex().visitCases(0L)((_, _, _, _) => ()))

@@ -20,11 +20,12 @@ class SparkButterflySpec extends SparkSpec {
   }
 
   test("empty edges count zero") {
-    val e = spark.emptyDataFrame
-    // an empty frame has no schema; build a typed empty frame instead
-    val empty = SparkButterfly.edgesToDF(spark, Seq.empty[TemporalEdge])
-    assert(SparkButterfly.count(empty, 10, Variant.PlusPlus).forall(_ == 0))
-    assert(e.isEmpty) // silence unused warning path
+    val empty = df(Seq.empty[TemporalEdge])
+    for (variant <- Variant.all) {
+      assert(SparkButterfly.count(empty, 10, variant).toSeq == Seq.fill(6)(0L), variant.name)
+      val found = SparkButterfly.enumerate(empty, 10, variant)
+      assert((found.count(), found.collect().toSeq) == ((0L, Seq.empty[Instance])), variant.name)
+    }
   }
 
   for ((name, stamps, slot) <- Seq(
