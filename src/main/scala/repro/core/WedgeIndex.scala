@@ -1,6 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.util.{LongBuf, OrderStatTree}
 
 /** Index over already-processed wedges inside a SetCross() pass.
@@ -117,11 +116,12 @@ final class HPIndex(withMids: Boolean) extends WedgeIndex {
 
 /** The twin balanced trees `TA`/`TS` of TBC++ (§ 4.4, Algorithm 6).
   *
-  * `taTree` orders wedges by end time, `tsTree` by start time; `byTa` pairs
-  * the two so synchronized deletion by maximum `ta` (Lemma 2) can erase the
-  * matching `ts` as well. Every operation is O(log n), removing the
-  * per-distinct-`ts` traversal that makes HP degrade on high-degree vertices
-  * (Figure 8's extreme case).
+  * `taTree` orders wedges by end time and carries each one's start time,
+  * so synchronized deletion by maximum `ta` (Lemma 2) pops the matching
+  * `ts` as well. `tsTree` orders them by start time; it stores `~ts`, so
+  * the newest (smallest) start time is its largest key and goes in last.
+  * Every operation is O(log n), removing the per-distinct-`ts` traversal
+  * that makes HP degrade on high-degree vertices (Figure 8's extreme case).
   *
   * Query resolution (Lemmas 4–7):
   *   - c11 = TS.count(> curTa)
@@ -130,29 +130,20 @@ final class HPIndex(withMids: Boolean) extends WedgeIndex {
   */
 final class TreeIndex extends WedgeIndex {
 
-  private val taTree = new OrderStatTree
-  private val tsTree = new OrderStatTree
-  private val byTa = mutable.HashMap.empty[Long, LongBuf]
+  private val taTree = new OrderStatTree(withValues = true)
+  private val tsTree = new OrderStatTree // of ~ts: ts > x <=> ~ts < ~x
 
   override def insert(ts: Long, ta: Long, mid: Long): Unit = {
-    taTree.insert(ta)
-    tsTree.insert(ts)
-    byTa.getOrElseUpdate(ta, new LongBuf) += ts
+    taTree.insert(ta, ts)
+    tsTree.insert(~ts)
   }
 
   override def deleteAbove(bound: Long): Unit =
-    while (taTree.nonEmpty && taTree.maxKey > bound) {
-      val ta = taTree.maxKey
-      val stack = byTa(ta)
-      val ts = stack.pop()
-      if (stack.isEmpty) byTa.remove(ta)
-      taTree.erase(ta)
-      tsTree.erase(ts)
-    }
+    while (taTree.nonEmpty && taTree.maxKey > bound) tsTree.erase(~taTree.popMax())
 
-  override def countCases(curTa: Long, out: Array[Long]): Unit = {
-    out(0) += tsTree.countGreater(curTa)
-    out(1) += taTree.countGreater(curTa) - tsTree.countGreaterOrEqual(curTa)
+  override def countCases(curTa: Long, out: Array[Long]): Unit = if (taTree.nonEmpty) {
+    out(0) += tsTree.countLess(~curTa)
+    out(1) += taTree.countGreater(curTa) - tsTree.countLessOrEqual(~curTa)
     out(2) += taTree.countLess(curTa)
   }
 

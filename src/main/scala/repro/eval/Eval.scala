@@ -158,6 +158,7 @@ object Eval {
     */
   def overallPerf(limitMs: String => Long, specs: Seq[Datasets.Spec] = Datasets.all,
                   out: String => Unit = println): Seq[(Datasets.Spec, PerfRow)] = {
+    specs.headOption.foreach(perfRowLimits(_, Datasets.DefaultDeltaSeconds, limitMs)) // untimed JIT warm-up
     val perf = specs.map(s => s -> perfRowLimits(s, Datasets.DefaultDeltaSeconds, limitMs))
     printTimingTable(
       ("Dataset" +: Algos.map(_._1 + "(ms)")) :+ "Total counts",
@@ -183,6 +184,7 @@ object Eval {
   def deltaSweep(key: String, limitMs: Long, out: String => Unit = println): Seq[(Long, PerfRow, DistRow)] = {
     val spec = Datasets.byKey(key)
     out(s"== $key: varying delta (TLE = ${limitMs / 1000}s) ==")
+    perfRowLimits(spec, SweepDeltaDays.head * SynthBipartite.SecondsPerDay, _ => limitMs) // untimed JIT warm-up
     val sweep = SweepDeltaDays.map { d =>
       val delta = d * SynthBipartite.SecondsPerDay
       (d, perfRowLimits(spec, delta, _ => limitMs), table4Row(spec, delta))

@@ -34,7 +34,7 @@ final class LocalGraph(
 
 object LocalGraph {
 
-  /** Build a [[LocalGraph]] from an edge list. Deterministic in the input order. */
+  /** Build a [[LocalGraph]] from an edge list, deterministically; ids are dense `Int`s. */
   def fromEdges(edges: Seq[TemporalEdge]): LocalGraph = {
     val upperIds = mutable.LinkedHashMap.empty[Long, Int]
     val lowerIds = mutable.LinkedHashMap.empty[Long, Int]
@@ -43,7 +43,9 @@ object LocalGraph {
       if (!lowerIds.contains(e.v)) lowerIds(e.v) = lowerIds.size
     }
     val nU = upperIds.size
-    val n  = nU + lowerIds.size
+    val count = nU.toLong + lowerIds.size
+    require(count <= Int.MaxValue, s"LocalGraph: $count distinct vertices exceed the ${Int.MaxValue} dense Int ids")
+    val n  = count.toInt
 
     val deg = new Array[Int](n)
     edges.foreach { e =>

@@ -2,11 +2,11 @@ package repro.util
 
 /** Growable primitive `Long` array with removal at both ends.
   *
-  * The one sorted-array structure of the repo: the per-`ts` ordered arrays
-  * of HP (TBC+), the `VS`/`VA` arrays of STBC+, the `ta -> ts` stacks of
-  * TBC++ and the time-sorted adjacency queues of the stream graph. Every
-  * coverage case on those arrays is a [[rank]] query, which is the only
-  * place the strict/inclusive boundary rule is decided.
+  * The sorted-array structure of the per-`ts` ordered arrays of HP (TBC+),
+  * the `VS`/`VA` arrays of STBC+ and the time-sorted adjacency queues of
+  * the stream graph. Every coverage case on those arrays is a [[rank]]
+  * query, the one place their strict/inclusive boundary rule is decided
+  * (TBC++'s [[OrderStatTree]] nodes scan with the same rule).
   *
   * Indices are logical: `0` is the first element not yet dropped by
   * [[dropFront]]. Elements live in `buf(head until end)`.

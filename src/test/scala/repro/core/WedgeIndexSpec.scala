@@ -160,6 +160,77 @@ class WedgeIndexSpec extends AnyFunSuite {
     intercept[UnsupportedOperationException](new TreeIndex().visitCases(0L)((_, _, _, _) => ()))
   }
 
+  /** `idx`'s counts against the reference's at every probe. */
+  private def assertCounts(idx: WedgeIndex, ref: RefIndex, probes: Iterable[Long], label: String): Unit =
+    for (curTa <- probes) {
+      val out = new Array[Long](3)
+      idx.countCases(curTa, out)
+      val (c0, c1, c2) = ref.cases(curTa)
+      assert(out.toSeq == Seq(c0, c1, c2), s"$label countCases($curTa)")
+    }
+
+  test("TreeIndex deletes wedges sharing one end time, whatever their start times, in one deleteAbove") {
+    val idx = new TreeIndex; val ref = new RefIndex
+    def ins(ts: Long, ta: Long): Unit = { idx.insert(ts, ta, 0L); ref.insert(ts, ta) }
+    // Rounds in SetCross order: start times descending, end times ascending.
+    ins(100, 150); ins(100, 170); ins(90, 120); ins(90, 150); ins(80, 150); ins(80, 160)
+    ins(70, 110); ins(70, 150); ins(60, 150)
+    val probes = (55L to 175L by 5L) ++ Seq(59L, 61L, 101L, 149L, 151L)
+    assertCounts(idx, ref, probes, "filled")
+    idx.deleteAbove(160); ref.deleteAbove(160)
+    assertCounts(idx, ref, probes, "above 160 gone")
+    idx.deleteAbove(149); ref.deleteAbove(149) // all five wedges ending at 150, and 160
+    assertCounts(idx, ref, probes, "above 149 gone")
+    ins(50, 150); ins(50, 151)
+    assertCounts(idx, ref, probes, "after reinsert")
+  }
+
+  test("TreeIndex deleteAbove(Long.MaxValue) is a no-op") {
+    val rnd = new Random(3)
+    val idx = new TreeIndex; val ref = new RefIndex
+    for (ts <- 500L to 1L by -1L; _ <- 0 until 1 + rnd.nextInt(3)) {
+      val ta = ts + 1 + rnd.nextInt(300); idx.insert(ts, ta, 0L); ref.insert(ts, ta)
+    }
+    val probes = (0L to 900L by 3L) ++ Seq(Long.MinValue, Long.MaxValue)
+    assertCounts(idx, ref, probes, "filled")
+    idx.deleteAbove(Long.MaxValue)
+    assertCounts(idx, ref, probes, "after deleteAbove(Long.MaxValue)")
+  }
+
+  test("TreeIndex drained to empty answers zero and is reused") {
+    val rnd = new Random(4)
+    val idx = new TreeIndex; val ref = new RefIndex
+    var ts = 10000L
+    val probes = (0L to 10100L by 37L)
+    for (round <- 1 to 3) {
+      for (_ <- 1 to 2000) { // enough wedges for trees of three levels
+        ts -= 1 + rnd.nextInt(2)
+        val ta = ts + 1 + rnd.nextInt(100); idx.insert(ts, ta, 0L); ref.insert(ts, ta)
+      }
+      assertCounts(idx, ref, probes, s"round $round filled")
+      idx.deleteAbove(ts); ref.deleteAbove(ts) // every end time lies above every start time
+      assert(ref.items.isEmpty)
+      assertCounts(idx, ref, probes, s"round $round drained")
+    }
+  }
+
+  test("TreeIndex matches the reference at both ends of the Long range, in SetCross order") {
+    val idx = new TreeIndex; val ref = new RefIndex
+    def ins(ts: Long, ta: Long): Unit = { idx.insert(ts, ta, 0L); ref.insert(ts, ta) }
+    val hi = Long.MaxValue; val lo = Long.MinValue
+    val probes = Seq(lo, lo + 1, lo + 2, lo + 3, lo + 5, -1L, 0L, 1L, hi - 5, hi - 3, hi - 2, hi - 1, hi)
+    ins(hi - 2, hi - 1); ins(hi - 2, hi); ins(hi - 3, hi); ins(hi - 4, hi - 3)
+    assertCounts(idx, ref, probes, "high end")
+    idx.deleteAbove(hi - 1); ref.deleteAbove(hi - 1)
+    assertCounts(idx, ref, probes, "high end, end time hi gone")
+    ins(0, 1); ins(lo + 2, lo + 3); ins(lo + 1, lo + 5); ins(lo + 1, hi); ins(lo, lo + 1); ins(lo, hi)
+    assertCounts(idx, ref, probes, "both ends")
+    idx.deleteAbove(lo + 3); ref.deleteAbove(lo + 3)
+    assertCounts(idx, ref, probes, "low end left")
+    idx.deleteAbove(lo); ref.deleteAbove(lo)
+    assertCounts(idx, ref, probes, "drained")
+  }
+
   test("WList.sorted orders by wedge priority (ts desc, ta asc)") {
     val buf = ArrayBuffer((3L, 9L), (5L, 7L), (3L, 4L), (5L, 6L), (1L, 2L))
     val w = WList.sorted(buf, 42L)
