@@ -15,11 +15,9 @@ object SparkCountJob {
   def main(args: Array[String]): Unit = {
     val key = args.lift(0).getOrElse("WN")
     val deltaDays = args.lift(1).map(_.toLong).getOrElse(40L)
-    val variant = args.lift(2).getOrElse("plusplus") match {
-      case "baseline" => Variant.Baseline
-      case "plus"     => Variant.Plus
-      case _          => Variant.PlusPlus
-    }
+    val name = args.lift(2).getOrElse("plusplus")
+    val variant = Variant.all.find(_.name == name).getOrElse(throw new IllegalArgumentException(
+      s"unknown variant '$name'; expected one of ${Variant.all.map(_.name).mkString(", ")}"))
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"tbfc-$key")

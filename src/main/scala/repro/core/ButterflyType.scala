@@ -83,6 +83,10 @@ final case class Instance(
 
 object Instance {
 
+  /** Field by field, so collected instances have one order whatever the schedule. */
+  implicit val ordering: Ordering[Instance] =
+    Ordering.by((i: Instance) => (i.btype, i.u0, i.u1, i.l0, i.l1, i.t0, i.t1, i.t2, i.t3))
+
   /** Build a canonical instance from an emitted wedge pair.
     *
     * `start`/`end` share a layer; `mid1`/`mid2` are on the other layer. Ids

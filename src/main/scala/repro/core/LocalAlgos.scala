@@ -8,6 +8,11 @@ import scala.runtime.LongRef
 import repro.graph.LocalGraph
 import repro.util.{ParFold, Sat}
 
+/** Thrown by the benchmark deadline check — the analogue of the paper's
+  * 100,000 s execution cap.
+  */
+final class BenchTimeout extends RuntimeException("bench deadline exceeded")
+
 /** Single-JVM drivers for the five algorithms of §§ 3–4: TBC, TBE, TBC+,
   * TBE+, TBC++. These mirror the C++ reference structure: iterate every
   * vertex as start-vertex, enumerate wedges toward strictly lower-priority
@@ -69,34 +74,28 @@ object LocalAlgos {
   }
 
   /** One (start, end) wedge group waiting to be combined. */
-  private final class Group(val u: Int, val w: Int, var wedges: ArrayBuffer[(Long, Long, Long)]) {
-    /** The instances it yields, when enumeration collects them. */
-    var found: ArrayBuffer[Instance] = null
-  }
+  private final class Group(val u: Int, val w: Int, val wedges: ArrayBuffer[(Long, Long, Long)])
 
   /** The loop `count` and `enumerate` share: [[ParFold]] hands out start
-    * vertices, hubs first; a worker passes the groups of its start vertex
-    * with at least two wedges to `generated`, queues them, then `combine`s
-    * queued groups into its own state until the queue is empty. A failed
-    * combine clears the queue, so the other workers stop draining it.
+    * vertices, hubs first; a worker queues the groups of its start vertex
+    * with at least two wedges, then `combine`s queued groups into its own
+    * state until the queue is empty. Past `deadline` (`System.nanoTime`) the
+    * next group throws [[BenchTimeout]]. A failed combine clears the queue,
+    * so the other workers stop draining it.
     */
-  private def combineGroups[S](g: LocalGraph, delta: Long, variant: Variant)(init: => S)(
-      generated: (Int, Array[Group]) => Unit)(combine: (S, Group) => Unit): Seq[S] = {
+  private def combineGroups[S](g: LocalGraph, delta: Long, variant: Variant, deadline: Long)(
+      init: => S)(combine: (S, Group) => Unit): Seq[S] = {
     Sat.requireDelta(delta)
     val prune = variant != Variant.Baseline
     val order = heaviestFirst(g)
     val queue = new ConcurrentLinkedQueue[Group]
     ParFold(g.n, ParFold.workers)(init) { (s, i) =>
       val u = order(i)
-      val groups = wedgeGroups(g, u, delta, prune).iterator
-        .collect { case (w, ws) if ws.length > 1 => new Group(u, w, ws) }.toArray
-      generated(u, groups)
-      groups.foreach(queue.add)
+      for ((w, ws) <- wedgeGroups(g, u, delta, prune) if ws.length > 1) queue.add(new Group(u, w, ws))
       var grp = queue.poll()
       while (grp != null) {
-        try combine(s, grp)
+        try { if (System.nanoTime() > deadline) throw new BenchTimeout; combine(s, grp) }
         catch { case t: Throwable => queue.clear(); throw t }
-        grp.wedges = null
         grp = queue.poll()
       }
     }
@@ -105,7 +104,7 @@ object LocalAlgos {
   /** Run `variant` counting over the whole graph. */
   def count(g: LocalGraph, delta: Long, variant: Variant,
             deadline: Long = Long.MaxValue): Array[Long] = {
-    val partials = combineGroups(g, delta, variant)(new Array[Long](ButterflyType.NumTypes))((_, _) => ()) {
+    val partials = combineGroups(g, delta, variant, deadline)(new Array[Long](ButterflyType.NumTypes)) {
       (counts, grp) => LocalCombine.count(grp.wedges, g.layer(grp.u).toInt, delta, variant, counts, deadline)
     }
     val counts = new Array[Long](ButterflyType.NumTypes)
@@ -127,34 +126,31 @@ object LocalAlgos {
 
   /** Run `variant` enumeration; `collect` decides whether instances are
     * materialized (tests) or only counted (benches mirror the paper's
-    * "no output" protocol). Collected instances come in start-vertex id
-    * order, then end-vertex first-seen order, whichever worker found them.
+    * "no output" protocol). Collected instances come sorted field by field
+    * ([[Instance.ordering]]), so every call yields the same sequence.
     */
   def enumerate(
       g: LocalGraph, delta: Long, variant: Variant,
       collect: Boolean, deadline: Long = Long.MaxValue
   ): (Long, ArrayBuffer[Instance]) = {
-    val byStart = if (collect) new Array[Array[Group]](g.n) else null
-    val totals = combineGroups(g, delta, variant)(LongRef.zero())(
-      (u, groups) => if (collect) byStart(u) = groups) { (total, grp) =>
-      val layer = g.layer(grp.u).toInt
-      val startOrig = g.origId(grp.u)
-      val endOrig = g.origId(grp.w)
-      val out = if (collect) new ArrayBuffer[Instance]() else null
-      val sink = new SetCross.EnumSink {
-        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                 mid2: Long, s2: Long, a2: Long): Unit = {
-          total.elem += 1
-          if (collect)
-            out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
+    val parts = combineGroups(g, delta, variant, deadline)((LongRef.zero(), new ArrayBuffer[Instance])) {
+      case ((total, out), grp) =>
+        val layer = g.layer(grp.u).toInt
+        val startOrig = g.origId(grp.u)
+        val endOrig = g.origId(grp.w)
+        val sink = new SetCross.EnumSink {
+          def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
+                   mid2: Long, s2: Long, a2: Long): Unit = {
+            total.elem += 1
+            if (collect)
+              out += Instance.canonical(btype, layer, startOrig, endOrig, mid1, mid2, s1, a1, s2, a2)
+          }
         }
-      }
-      LocalCombine.enumerate(grp.wedges, layer, delta, variant, sink, deadline)
-      grp.found = out
+        LocalCombine.enumerate(grp.wedges, layer, delta, variant, sink, deadline)
     }
     val out = new ArrayBuffer[Instance]()
-    if (collect) byStart.foreach(gs => if (gs != null) gs.foreach(out ++= _.found))
-    (totals.map(_.elem).sum, out)
+    parts.foreach(out ++= _._2)
+    (parts.map(_._1.elem).sum, out.sortInPlace())
   }
 
   /** TBE — baseline enumeration (§ 3). */

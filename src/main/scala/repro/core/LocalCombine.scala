@@ -31,7 +31,8 @@ object LocalCombine {
 
   /** Count butterflies of one group into `counts` (length 6).
     *
-    * @param layer layer of the start-vertex: 0 upper, 1 lower
+    * @param layer    layer of the start-vertex: 0 upper, 1 lower
+    * @param deadline `System.nanoTime` cap on the baseline's rows of pairs
     */
   def count(
       wedges: ArrayBuffer[(Long, Long, Long)], layer: Int, delta: Long,
@@ -40,9 +41,9 @@ object LocalCombine {
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, counts, null, deadline)
       case Variant.Plus => SetCross.recurCount(
-        buildSides(wedges, delta), layer, delta, counts, () => new HPIndex(withMids = false), deadline)
+        buildSides(wedges, delta), layer, delta, counts, () => new HPIndex(withMids = false))
       case Variant.PlusPlus => SetCross.recurCount(
-        buildSides(wedges, delta), layer, delta, counts, () => new TreeIndex, deadline)
+        buildSides(wedges, delta), layer, delta, counts, () => new TreeIndex)
     }
 
   /** Enumerate butterflies of one group through `sink`. */
@@ -52,12 +53,13 @@ object LocalCombine {
       deadline: Long = Long.MaxValue): Unit =
     variant match {
       case Variant.Baseline => baselinePairs(wedges, layer, delta, null, sink, deadline)
-      case _ => SetCross.recurEnum(buildSides(wedges, delta), layer, delta, sink, deadline)
+      case _ => SetCross.recurEnum(buildSides(wedges, delta), layer, delta, sink)
     }
 
   /** The baseline "enumerate-filter-match" inner loop (Algorithm 1 lines
     * 9–12): all wedge pairs, validity check, then type classification. When
-    * `sink` is null it counts; otherwise it emits instances.
+    * `sink` is null it counts; otherwise it emits instances. The deadline
+    * is checked per row: one unpruned group can run for seconds.
     */
   private def baselinePairs(
       wedges: ArrayBuffer[(Long, Long, Long)], layer: Int, delta: Long,

@@ -53,11 +53,6 @@ final class Side(val a: WList, val d: WList) {
   def size: Int = a.size + d.size
 }
 
-/** Thrown by the benchmark deadline check — the analogue of the paper's
-  * 100,000 s execution cap.
-  */
-final class BenchTimeout extends RuntimeException("bench deadline exceeded")
-
 /** The Combine()/Recur()/SetCross() framework of Algorithms 2–6.
   *
   * `recur*` recursively merges the per-middle-vertex wedge sets bottom-up
@@ -76,21 +71,16 @@ object SetCross {
 
   /** Recursively combine `sides` and add butterfly counts into `counts`.
     *
-    * @param mkIndex  index factory: HPIndex for TBC+, TreeIndex for TBC++
-    * @param deadline `System.nanoTime` cap; [[BenchTimeout]] past it
+    * @param mkIndex index factory: HPIndex for TBC+, TreeIndex for TBC++
     */
   def recurCount(
       sides: Array[Side], layer: Int, delta: Long,
-      counts: Array[Long], mkIndex: () => WedgeIndex,
-      deadline: Long = Long.MaxValue): Unit =
-    recur(sides, (l, r) => cross(l, r, layer, delta, counts, mkIndex, null, deadline))
+      counts: Array[Long], mkIndex: () => WedgeIndex): Unit =
+    recur(sides, (l, r) => cross(l, r, layer, delta, counts, mkIndex, null))
 
   /** Enumeration flavour of [[recurCount]] — TBE+ (Algorithm 5). */
-  def recurEnum(
-      sides: Array[Side], layer: Int, delta: Long,
-      sink: EnumSink, deadline: Long = Long.MaxValue): Unit =
-    recur(sides, (l, r) =>
-      cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink, deadline))
+  def recurEnum(sides: Array[Side], layer: Int, delta: Long, sink: EnumSink): Unit =
+    recur(sides, (l, r) => cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink))
 
   /** Mergesort-style bottom-up recursion shared by both flavours:
     * `crossPair` pairs two merged halves before they are merged themselves.
@@ -113,23 +103,22 @@ object SetCross {
     * jointly in `ts`-descending rounds so each index only ever holds wedges
     * with strictly larger start times than the current one.
     *
-    * When `sink` is null, counts are accumulated into `counts`; otherwise
-    * instances are emitted (and `counts` may be null).
+    * The lists are `si.a, si.d, sj.a, sj.d`, so list `k`'s partners sit on
+    * the other side: `k ^ 2` points the same way in time, `k ^ 3` the other
+    * way. When `sink` is null, counts are accumulated into `counts`;
+    * otherwise instances are emitted (and `counts` may be null).
     */
-  def cross(
+  private def cross(
       si: Side, sj: Side, layer: Int, delta: Long,
-      counts: Array[Long], mkIndex: () => WedgeIndex,
-      sink: EnumSink, deadline: Long = Long.MaxValue): Unit = {
+      counts: Array[Long], mkIndex: () => WedgeIndex, sink: EnumSink): Unit = {
     if (si.size == 0 || sj.size == 0) return
     val lists = Array(si.a, si.d, sj.a, sj.d)
     val idx = Array.fill(4)(mkIndex())
-    // For a wedge from list k, the same-direction partner index and the
-    // different-direction partner index — always on the *other* side.
-    val samePartner = Array(2, 3, 0, 1)
-    val diffPartner = Array(3, 2, 1, 0)
     val ptr = new Array[Int](4)
     val pre = new Array[Int](4)
-    val tmp = new Array[Long](3)
+    // Base-type counts (layer 0) of same- and different-direction pairs.
+    val same = new Array[Long](3)
+    val diff = new Array[Long](3)
 
     var live = true
     while (live) {
@@ -146,7 +135,6 @@ object SetCross {
         k += 1
       }
       if (live) {
-        if (System.nanoTime() > deadline) throw new BenchTimeout
         // Lemma 2: wedges whose end time exceeds maxn + delta can never
         // again satisfy the duration constraint.
         val bound = Sat.add(maxn, delta)
@@ -161,24 +149,16 @@ object SetCross {
           while (p < lst.size && lst.ts(p) == maxn) {
             val curTa = lst.ta(p)
             if (sink == null) {
-              tmp(0) = 0; tmp(1) = 0; tmp(2) = 0
-              idx(samePartner(k)).countCases(curTa, tmp)
-              counts(0 ^ layer) += tmp(0)
-              counts(1 ^ layer) += tmp(1)
-              counts(2 ^ layer) += tmp(2)
-              tmp(0) = 0; tmp(1) = 0; tmp(2) = 0
-              idx(diffPartner(k)).countCases(curTa, tmp)
-              counts(3 ^ layer) += tmp(0)
-              counts(4 ^ layer) += tmp(1)
-              counts(5 ^ layer) += tmp(2)
+              idx(k ^ 2).countCases(curTa, same)
+              idx(k ^ 3).countCases(curTa, diff)
             } else {
               val curMid = lst.mid(p)
-              val curIsFwd = k == 0 || k == 2
-              idx(samePartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
+              val curIsFwd = (k & 1) == 0
+              idx(k ^ 2).visitCases(curTa) { (c, ots, ota, omid) =>
                 emitPair(sink, c ^ layer, curIsFwd, curMid, maxn, curTa,
                   curIsFwd, omid, ots, ota)
               }
-              idx(diffPartner(k)).visitCases(curTa) { (c, ots, ota, omid) =>
+              idx(k ^ 3).visitCases(curTa) { (c, ots, ota, omid) =>
                 emitPair(sink, (3 + c) ^ layer, curIsFwd, curMid, maxn, curTa,
                   !curIsFwd, omid, ots, ota)
               }
@@ -197,6 +177,10 @@ object SetCross {
           k += 1
         }
       }
+    }
+    if (sink == null) {
+      var c = 0
+      while (c < 3) { counts(c ^ layer) += same(c); counts((3 + c) ^ layer) += diff(c); c += 1 }
     }
   }
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core.{Instance, LocalCombine, SetCross, Variant}
+import repro.core.ButterflyType.addCounts
 import repro.graph.TemporalEdge
 import repro.util.Sat
 
@@ -110,20 +111,24 @@ object SparkButterfly {
       }
   }
 
-  /** Exact per-type counts, one slot per butterfly type. */
+  /** Exact per-type counts, one slot per butterfly type: each partition
+    * sums its groups' counts and the driver sums the partitions.
+    */
   def count(edges: DataFrame, delta: Long, variant: Variant = Variant.PlusPlus): Array[Long] = {
     val spark = edges.sparkSession
     import spark.implicits._
-    val perType = combineGroups(edges, delta, variant) { (a, _, buf) =>
+    val out = new Array[Long](6)
+    combineGroups(edges, delta, variant) { (a, _, buf) =>
         val counts = new Array[Long](6)
         LocalCombine.count(buf, (a & 1L).toInt, delta, variant, counts)
-        Iterator.range(0, 6).map(i => (i, counts(i))).filter(_._2 != 0L)
+        Iterator.single(counts)
       }
-      .toDF("btype", "cnt")
-      .groupBy($"btype").agg(sum($"cnt").as("cnt"))
-      .collect()
-    val out = new Array[Long](6)
-    perType.foreach(r => out(r.getInt(0)) = r.getLong(1))
+      .mapPartitions { it =>
+        val part = new Array[Long](6)
+        it.foreach(addCounts(part, _))
+        Iterator.single(part)
+      }
+      .collect().foreach(addCounts(out, _))
     out
   }
 

@@ -124,6 +124,7 @@ object STBCPlus {
   def insertBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
+    require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
     batch.foreach(g.insert)
     batchCount(g, batch, delta, asMin = false, threads)
   }
@@ -135,6 +136,7 @@ object STBCPlus {
   def deleteBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
+    require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
     val removed = batchCount(g, batch, delta, asMin = true, threads)
     batch.foreach(g.delete)
     removed

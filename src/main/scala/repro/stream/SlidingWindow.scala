@@ -25,6 +25,7 @@ object SlidingWindow {
       threads: Int = 0,
       onStep: Step => Unit = _ => ()): Array[Long] = {
     require(window > 0 && stride > 0 && stride <= window, "need 0 < stride <= window")
+    require(threads >= 0, s"threads must be 0 (STBC) or at least 1 (STBC+), got $threads")
     Sat.requireDelta(delta)
     require(edges.sliding(2).forall(p => p.length < 2 || p(0).t <= p(1).t),
       "stream edges must be chronologically sorted")

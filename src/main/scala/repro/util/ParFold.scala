@@ -22,19 +22,10 @@ object ParFold {
   def workers: Int = Runtime.getRuntime.availableProcessors
 
   /** The states of the workers that ran, the caller's first. With one
-    * worker, or at most one item, everything runs inline on the caller.
+    * worker, or at most one item, the caller is the only worker.
     */
   def apply[S](n: Int, workers: Int)(init: => S)(step: (S, Int) => Unit): Seq[S] = {
-    val k = math.min(workers, n)
-    if (k <= 1) {
-      val s = init
-      var i = 0
-      while (i < n) { step(s, i); i += 1 }
-      Seq(s)
-    } else shared(n, k)(init)(step)
-  }
-
-  private def shared[S](n: Int, k: Int)(init: => S)(step: (S, Int) => Unit): Seq[S] = {
+    val k = math.max(1, math.min(workers, n))
     val cursor = new AtomicInteger
     val failure = new AtomicReference[Throwable]
     val states = new Array[Any](k)

@@ -33,7 +33,15 @@ object AlgoProps extends Properties("TemporalButterfly") {
       v <- Gen.choose(0, nL - 1)
       t <- Gen.choose(0L, tMax)
     } yield TemporalEdge(idBase + u, idBase + v, tBase + t))
-  } yield hub ++ edges
+    // One draw in three adds a run of edges that all share one timestamp,
+    // whatever tMax, so equal stamps meet inside wedges and wedge pairs.
+    runLength <- Gen.frequency(2 -> Gen.const(0), 1 -> Gen.choose(2, 12))
+    runT <- Gen.choose(0L, tMax)
+    run <- Gen.listOfN(runLength, for {
+      u <- Gen.choose(0, nU - 1)
+      v <- Gen.choose(0, nL - 1)
+    } yield TemporalEdge(idBase + u, idBase + v, tBase + runT))
+  } yield hub ++ edges ++ run
 
   val genDelta: Gen[Long] = Gen.oneOf(0L, 1L, 5L, 25L, 100L, 100000L, Long.MaxValue)
 

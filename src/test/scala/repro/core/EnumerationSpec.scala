@@ -69,4 +69,17 @@ class EnumerationSpec extends AnyFunSuite {
     val (uncollected, none) = LocalAlgos.tbePlus(g, 50, collect = false)
     assert(collected == uncollected && none.isEmpty && inst.length.toLong == collected)
   }
+
+  test("collected TBE and TBE+ instances come sorted field by field, the same on every call") {
+    val g = LocalGraph.fromEdges(TestUtil.randomEdges(5, 7, 7, 200, 150))
+    for ((name, run) <- Seq[(String, () => Seq[Instance])](
+        "TBE" -> (() => LocalAlgos.tbe(g, 60)._2.toSeq),
+        "TBE+" -> (() => LocalAlgos.tbePlus(g, 60)._2.toSeq))) {
+      val first = run()
+      val keys = first.map(i => Instance.unapply(i).get)
+      assert(first.length > 100, name)
+      assert(keys == keys.sorted, s"$name order")
+      assert(run() == first, s"$name second call")
+    }
+  }
 }

@@ -276,6 +276,25 @@ class StreamSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 20, 10))
   }
 
+  test("sliding window rejects a negative thread count, naming it") {
+    val edges = sortedStream(1, 3, 3, 30, 50)
+    val e = intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 5, 10, threads = -2))
+    assert(e.getMessage.contains("-2"), e.getMessage)
+  }
+
+  test("STBC+ batches reject fewer than one thread, naming it, before changing the graph") {
+    val edges = sortedStream(2, 4, 4, 60, 80)
+    val g = new StreamGraph
+    edges.take(40).foreach(g.insert)
+    for (threads <- Seq(0, -3)) {
+      val ins = intercept[IllegalArgumentException](STBCPlus.insertBatch(g, edges.slice(40, 50), 20, threads))
+      assert(ins.getMessage.contains(s"got $threads"), ins.getMessage)
+      val del = intercept[IllegalArgumentException](STBCPlus.deleteBatch(g, edges.take(10), 20, threads))
+      assert(del.getMessage.contains(s"got $threads"), del.getMessage)
+    }
+    assert(g.numEdges == 40)
+  }
+
   test("sliding window rejects unsorted streams") {
     val edges = IndexedSeq(TemporalEdge(0, 0, 5), TemporalEdge(1, 1, 1))
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 2, 1, 10))
