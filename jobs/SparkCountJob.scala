@@ -13,21 +13,22 @@ import repro.sparkdist.SparkButterfly
   */
 object SparkCountJob {
   def main(args: Array[String]): Unit = {
-    val key = args.lift(0).getOrElse("WN")
+    val spec = Datasets.byKey(args.lift(0).getOrElse("WN"))
     val deltaDays = args.lift(1).map(_.toLong).getOrElse(40L)
+    val delta = Datasets.deltaSecondsOfDays(deltaDays)
     val name = args.lift(2).getOrElse("plusplus")
     val variant = Variant.all.find(_.name == name).getOrElse(throw new IllegalArgumentException(
       s"unknown variant '$name'; expected one of ${Variant.all.map(_.name).mkString(", ")}"))
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"tbfc-$key")
+      .appName(s"tbfc-${spec.key}")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     try {
-      val edges = Eval.edgesOf(Datasets.byKey(key))
+      val edges = Eval.edgesOf(spec)
       val df = SparkButterfly.edgesToDF(spark, edges)
-      val t = Eval.time(SparkButterfly.count(df, deltaDays * 86400L, variant))
-      println(s"dataset=$key |E|=${edges.length} delta=${deltaDays}d variant=${variant.name}")
+      val t = Eval.time(SparkButterfly.count(df, delta, variant))
+      println(s"dataset=${spec.key} |E|=${edges.length} delta=${deltaDays}d variant=${variant.name}")
       println((0 until 6).map(i => s"T$i=${t.value(i)}").mkString(" "))
       println(f"total=${t.value.sum} time=${t.millis}%.1f ms")
     } finally spark.stop()

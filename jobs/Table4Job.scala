@@ -1,6 +1,7 @@
 package repro.jobs
 
 import repro.eval.Eval
+import repro.graph.Datasets
 
 /** Reproduces Table 4 (distribution of counts per temporal butterfly type
   * at delta = 40 days) over the 11 scaled synthetic datasets.
@@ -10,6 +11,6 @@ import repro.eval.Eval
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val deltaDays = args.headOption.map(_.toLong).getOrElse(40L)
-    Eval.table4(deltaDays * 86400L)
+    Eval.table4(Datasets.deltaSecondsOfDays(deltaDays))
   }
 }

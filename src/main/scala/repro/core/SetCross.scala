@@ -83,7 +83,8 @@ object SetCross {
     recur(sides, (l, r) => cross(l, r, layer, delta, null, () => new HPIndex(withMids = true), sink))
 
   /** Mergesort-style bottom-up recursion shared by both flavours:
-    * `crossPair` pairs two merged halves before they are merged themselves.
+    * `crossPair` pairs two merged halves before they are merged themselves;
+    * nothing reads the root's merge, so it is skipped.
     */
   private def recur(sides: Array[Side], crossPair: (Side, Side) => Unit): Unit = {
     def go(lo: Int, hi: Int): Side =
@@ -93,7 +94,7 @@ object SetCross {
         val l = go(lo, mid)
         val r = go(mid, hi)
         crossPair(l, r)
-        new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
+        if (hi - lo == sides.length) null else new Side(WList.merge(l.a, r.a), WList.merge(l.d, r.d))
       }
     if (sides.length > 1) go(0, sides.length)
   }

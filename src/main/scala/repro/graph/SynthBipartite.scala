@@ -156,4 +156,9 @@ object Datasets {
 
   /** The default duration threshold of the paper's evaluation: 40 days. */
   val DefaultDeltaSeconds: Long = 40L * SynthBipartite.SecondsPerDay
+
+  /** `days` days in seconds, rejecting a count whose seconds overflow a `Long`. */
+  def deltaSecondsOfDays(days: Long): Long =
+    try Math.multiplyExact(days, SynthBipartite.SecondsPerDay) catch { case _: ArithmeticException =>
+      throw new IllegalArgumentException(s"delta of $days days overflows a Long count of seconds") }
 }

@@ -1,6 +1,7 @@
 package repro.sparkdist
 
 import org.apache.spark.sql.{Column, DataFrame, Dataset, Encoder, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import scala.collection.mutable.ArrayBuffer
 
@@ -18,15 +19,13 @@ import repro.util.Sat
   *   1. model the temporal bipartite graph as a DataFrame of edges
   *      `(u, v, t)`;
   *   2. compute the vertex priority of Definition 4 as the order on
-  *      (|E(x)|, id), from one degree aggregate;
+  *      (|E(x)|, id), each degree a window count over the half-edges;
   *   3. enumerate wedges with one self-join restricted by priority — the
   *      distributed equivalent of Algorithm 2 lines 6–7, including the
   *      Lemma 1 pruning for the optimized variants;
   *   4. group wedges by (start-vertex, end-vertex) and run the paper's
-  *      combine phase — the exact same [[LocalCombine]] code as the local
-  *      drivers — inside `flatMapGroups`, so the per-group work is the
-  *      baseline quadratic pairing, the HP hashmap, or the twin trees
-  *      depending on `variant`.
+  *      combine phase inside `flatMapGroups`: the same [[LocalCombine]]
+  *      code as the local drivers, for every `variant`.
   *
   * Vertices from both layers are folded into one id space (upper `2u`,
   * lower `2v+1`) so a single join covers wedges starting from either layer;
@@ -64,25 +63,21 @@ object SparkButterfly {
       .select(u.as("src"), v.as("dst"), $"t")
       .union(edges.select(v.as("src"), u.as("dst"), $"t"))
 
-    // Vertex priority (Definition 4): the total order on (degree, id),
-    // compared in the join predicate. No global ranking step is needed.
-    val deg = he.groupBy($"src".as("vid"))
-      .agg(org.apache.spark.sql.functions.count(lit(1)).as("deg"))
-
+    // Vertex priority (Definition 4) is the order on (degree, id). The half-edges are
+    // symmetric, so window counts give both endpoints' degrees. Both legs of a wedge
+    // a-m-w leave m, and the self-join keys on `src`, which the last window partitioned.
+    val degree = org.apache.spark.sql.functions.count(lit(1))
     val h = he
-      .join(deg.select($"vid".as("src"), $"deg".as("dsrc")), "src")
-      .join(deg.select($"vid".as("dst"), $"deg".as("ddst")), "dst")
-
-    val left  = h.select($"src".as("a"), $"dst".as("m"), $"t".as("t1"),
-                         $"dsrc".as("da"), $"ddst".as("dm"))
-    val right = h.select($"src".as("m2"), $"dst".as("w"), $"t".as("t2"),
-                         $"ddst".as("dw"))
+      .withColumn("ddst", degree.over(Window.partitionBy($"dst")))
+      .withColumn("dsrc", degree.over(Window.partitionBy($"src")))
 
     def above(d1: Column, id1: Column, d2: Column, id2: Column): Column =
       d1 > d2 || (d1 === d2 && id1 > id2)
+    val left = h.where(above($"ddst", $"dst", $"dsrc", $"src"))
+      .select($"src".as("m"), $"dst".as("a"), $"ddst".as("da"), $"t".as("t1"))
+    val right = h.select($"src".as("m2"), $"dst".as("w"), $"ddst".as("dw"), $"t".as("t2"))
     val joined = left
-      .join(right, $"m" === $"m2" &&
-        above($"da", $"a", $"dm", $"m") && above($"da", $"a", $"dw", $"w"))
+      .join(right, $"m" === $"m2" && above($"da", $"a", $"dw", $"w"))
       .select($"a", $"w", $"m", $"t1", $"t2")
 
     // Lemma 1 as `Sat.within` decides it: `hi - lo` would overflow for
@@ -139,14 +134,10 @@ object SparkButterfly {
     import spark.implicits._
     combineGroups(edges, delta, variant) { (a, w, buf) =>
       val layer = (a & 1L).toInt
-      val startOrig = a >> 1
-      val endOrig = w >> 1
       val out = new ArrayBuffer[Instance]()
       val sink = new SetCross.EnumSink {
-        def emit(btype: Int, mid1: Long, s1: Long, a1: Long,
-                 mid2: Long, s2: Long, a2: Long): Unit =
-          out += Instance.canonical(btype, layer, startOrig, endOrig,
-            mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
+        def emit(btype: Int, mid1: Long, s1: Long, a1: Long, mid2: Long, s2: Long, a2: Long): Unit =
+          out += Instance.canonical(btype, layer, a >> 1, w >> 1, mid1 >> 1, mid2 >> 1, s1, a1, s2, a2)
       }
       LocalCombine.enumerate(buf, layer, delta, variant, sink)
       out.iterator

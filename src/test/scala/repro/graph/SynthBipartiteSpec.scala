@@ -71,6 +71,16 @@ class SynthBipartiteSpec extends AnyFunSuite {
     assert(Datasets.DefaultDeltaSeconds == 40L * 86400L)
   }
 
+  test("days convert to seconds exactly, or are rejected with the days named") {
+    assert(Datasets.deltaSecondsOfDays(40) == Datasets.DefaultDeltaSeconds)
+    assert(Datasets.deltaSecondsOfDays(0) == 0L)
+    // 213,503,982,334,602 days once wrapped to 61,184 s without an error.
+    for (days <- Seq(213503982334602L, Long.MaxValue, Long.MinValue)) {
+      val e = intercept[IllegalArgumentException](Datasets.deltaSecondsOfDays(days))
+      assert(e.getMessage.contains(s"$days days"), e.getMessage)
+    }
+  }
+
   test("LocalGraph dense build round-trips ids, layers, degrees") {
     val edges = SynthBipartite.generate(cfg.copy(nE = 300))
     val g = LocalGraph.fromEdges(edges)

@@ -108,5 +108,23 @@ class SparkButterflySpec extends SparkSpec {
     assert(all.length >= pruned.length)
     // every wedge starts and ends on different vertices of the same layer
     assert(all.forall(w => (w.a & 1) == (w.w & 1) && w.a != w.w && (w.m & 1) != (w.a & 1)))
+
+    // Priority on the driver: (degree, folded id), upper u as 2u, lower v as 2v + 1.
+    val halves = edges.flatMap(e => Seq((2 * e.u, 2 * e.v + 1, e.t), (2 * e.v + 1, 2 * e.u, e.t)))
+    val deg = halves.groupBy(_._1).view.mapValues(_.size).toMap
+    def above(x: Long, y: Long) = deg(x) > deg(y) || (deg(x) == deg(y) && x > y)
+    def sorted(rows: Seq[SparkButterfly.WedgeRow]) = rows.sortBy(r => (r.a, r.w, r.m, r.t1, r.t2))
+    for ((prune, got) <- Seq((true, pruned), (false, all))) {
+      assert(got.forall(r => above(r.a, r.m) && above(r.a, r.w)), s"prune = $prune")
+      val want = for {
+        (m, a, t1) <- halves
+        (m2, w, t2) <- halves
+        if m == m2 && above(a, m) && above(a, w) && (!prune || (t1 != t2 && math.abs(t2 - t1) <= 10))
+      } yield SparkButterfly.WedgeRow(a, w, m, t1, t2)
+      assert(sorted(got.toSeq) == sorted(want), s"prune = $prune")
+      // Degrees come from window counts, not from a joined-back aggregate.
+      val plan = SparkButterfly.wedges(df(edges), 10, prune).queryExecution.executedPlan.toString
+      assert(!plan.contains("HashAggregate"), plan)
+    }
   }
 }
