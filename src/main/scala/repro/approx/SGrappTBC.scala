@@ -31,7 +31,7 @@ object SGrappTBC {
 
   /** Split a chronological stream into windows of `nTW` unique timestamps. */
   def windows(edges: IndexedSeq[TemporalEdge], nTW: Int): IndexedSeq[IndexedSeq[TemporalEdge]] = {
-    require(nTW > 0)
+    require(nTW > 0, s"sGrapp needs at least 1 timestamp per window, got nTW = $nTW")
     val out = ArrayBuffer.empty[IndexedSeq[TemporalEdge]]
     val cur = ArrayBuffer.empty[TemporalEdge]
     var uniq = 0

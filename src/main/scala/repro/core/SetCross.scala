@@ -62,8 +62,10 @@ final class Side(val a: WList, val d: WList) {
   */
 object SetCross {
 
-  /** Sink for enumeration: receives one butterfly per call, as the two raw
-    * wedge records `(mid, ts, ta)` plus the pre-computed type.
+  /** Sink for enumeration: receives one butterfly per call, as its two
+    * wedges `(mid, ts, ta)` plus the pre-computed type. Each wedge arrives
+    * as stored, normalized to `ts < ta`, so its two legs may come in either
+    * order relative to the raw edges.
     */
   trait EnumSink {
     def emit(btype: Int, mid1: Long, s1: Long, a1: Long, mid2: Long, s2: Long, a2: Long): Unit
@@ -154,14 +156,11 @@ object SetCross {
               idx(k ^ 3).countCases(curTa, diff)
             } else {
               val curMid = lst.mid(p)
-              val curIsFwd = (k & 1) == 0
               idx(k ^ 2).visitCases(curTa) { (c, ots, ota, omid) =>
-                emitPair(sink, c ^ layer, curIsFwd, curMid, maxn, curTa,
-                  curIsFwd, omid, ots, ota)
+                sink.emit(c ^ layer, curMid, maxn, curTa, omid, ots, ota)
               }
               idx(k ^ 3).visitCases(curTa) { (c, ots, ota, omid) =>
-                emitPair(sink, (3 + c) ^ layer, curIsFwd, curMid, maxn, curTa,
-                  !curIsFwd, omid, ots, ota)
+                sink.emit((3 + c) ^ layer, curMid, maxn, curTa, omid, ots, ota)
               }
             }
             p += 1
@@ -183,17 +182,5 @@ object SetCross {
       var c = 0
       while (c < 3) { counts(c ^ layer) += same(c); counts((3 + c) ^ layer) += diff(c); c += 1 }
     }
-  }
-
-  /** De-normalize the stored wedges back to raw leg order before emitting,
-    * so instances carry the original (start-leg, end-leg) timestamps.
-    */
-  private def emitPair(
-      sink: EnumSink, btype: Int,
-      curFwd: Boolean, curMid: Long, curTs: Long, curTa: Long,
-      otherFwd: Boolean, omid: Long, ots: Long, ota: Long): Unit = {
-    val (s1, a1) = if (curFwd) (curTs, curTa) else (curTa, curTs)
-    val (s2, a2) = if (otherFwd) (ots, ota) else (ota, ots)
-    sink.emit(btype, curMid, s1, a1, omid, s2, a2)
   }
 }

@@ -32,27 +32,27 @@ object STBC {
   def countContaining(g: StreamGraph, e: TemporalEdge, delta: Long): Array[Long] = {
     Sat.requireDelta(delta)
     val counts = new Array[Long](6)
-    val uKey = g.upperKey(e.u)
-    val vKey = g.lowerKey(e.v)
+    val u = g.upperSlot(e.u)
+    val v = g.lowerSlot(e.v)
     val t = e.t
     val lo = Sat.add(t, -delta)
     val hi = Sat.add(t, delta)
 
-    // end-vertex key -> raw wedges `(mid, s, a)`, whose `mid` slot carries
+    // end-vertex slot -> raw wedges `(mid, s, a)`, whose `mid` field carries
     // the side label: 0 = through v with first leg e, 1 = through x != v.
     // Only end-vertices reached through v can close a butterfly with e.
-    val h = mutable.HashMap.empty[Long, ArrayBuffer[(Long, Long, Long)]]
-    g.foreachInRange(g.slot(vKey), lo, loStrict = false, hi, hiStrict = false) { (wKey, t2) =>
-      if (wKey != uKey && t2 != t)
-        h.getOrElseUpdate(wKey, new ArrayBuffer) += ((0L, t, t2))
+    val h = mutable.HashMap.empty[Int, ArrayBuffer[(Long, Long, Long)]]
+    g.foreachInRange(v, lo, loStrict = false, hi, hiStrict = false) { (w, t2) =>
+      if (w != u && t2 != t)
+        h.getOrElseUpdate(w, new ArrayBuffer) += ((0L, t, t2))
     }
-    g.foreachInRange(g.slot(uKey), lo, loStrict = false, hi, hiStrict = false) { (xKey, t1) =>
-      if (xKey != vKey && t1 != t) {
+    g.foreachInRange(u, lo, loStrict = false, hi, hiStrict = false) { (x, t1) =>
+      if (x != v && t1 != t) {
         val lo2 = Sat.add(math.max(t, t1), -delta)
         val hi2 = Sat.add(math.min(t, t1), delta)
-        g.foreachInRange(g.slot(xKey), lo2, loStrict = false, hi2, hiStrict = false) { (wKey, t2) =>
-          if (wKey != uKey && t2 != t && t2 != t1)
-            h.get(wKey).foreach(_ += ((1L, t1, t2)))
+        g.foreachInRange(x, lo2, loStrict = false, hi2, hiStrict = false) { (w, t2) =>
+          if (w != u && t2 != t && t2 != t1)
+            h.get(w).foreach(_ += ((1L, t1, t2)))
         }
       }
     }

@@ -61,8 +61,8 @@ object STBCPlus {
   def countExtreme(g: StreamGraph, e: TemporalEdge, delta: Long, asMin: Boolean): Array[Long] = {
     Sat.requireDelta(delta)
     val counts = new Array[Long](6)
-    val uKey = g.upperKey(e.u)
-    val vKey = g.lowerKey(e.v)
+    val u = g.upperSlot(e.u)
+    val v = g.lowerSlot(e.v)
     val t = e.t
     // Under time reversal every collected timestamp `x` becomes `~x`;
     // `x ^ flip` folds that into the collection step.
@@ -70,15 +70,15 @@ object STBCPlus {
     // The range excludes `t` itself: (t, t + delta] or [t - delta, t).
     val (lo, hi) = if (asMin) (t, Sat.add(t, delta)) else (Sat.add(t, -delta), t)
 
-    // end-vertex -> (via-v end legs, via-other wedges split by direction)
-    val h = mutable.HashMap.empty[Long, (LongBuf, DirArrays, DirArrays)]
-    def entry(w: Long) = h.getOrElseUpdate(w, (new LongBuf, new DirArrays, new DirArrays))
+    // end-vertex slot -> (via-v end legs, via-other wedges split by direction)
+    val h = mutable.HashMap.empty[Int, (LongBuf, DirArrays, DirArrays)]
+    def entry(w: Int) = h.getOrElseUpdate(w, (new LongBuf, new DirArrays, new DirArrays))
 
-    g.foreachInRange(g.slot(uKey), lo, asMin, hi, !asMin) { (xKey, t1) =>
-      if (xKey != vKey) {
-        g.foreachInRange(g.slot(xKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
-          if (wKey != uKey && t2 != t1) {
-            val (_, fwd, bwd) = entry(wKey)
+    g.foreachInRange(u, lo, asMin, hi, !asMin) { (x, t1) =>
+      if (x != v) {
+        g.foreachInRange(x, lo, asMin, hi, !asMin) { (w, t2) =>
+          if (w != u && t2 != t1) {
+            val (_, fwd, bwd) = entry(w)
             val s = t1 ^ flip; val a = t2 ^ flip
             val d = if (s < a) fwd else bwd
             d.vs += math.min(s, a)
@@ -87,8 +87,8 @@ object STBCPlus {
         }
       }
     }
-    g.foreachInRange(g.slot(vKey), lo, asMin, hi, !asMin) { (wKey, t2) =>
-      if (wKey != uKey) entry(wKey)._1 += t2 ^ flip
+    g.foreachInRange(v, lo, asMin, hi, !asMin) { (w, t2) =>
+      if (w != u) entry(w)._1 += t2 ^ flip
     }
 
     h.foreach { case (_, (viaV, fwd, bwd)) =>
@@ -120,23 +120,27 @@ object STBCPlus {
   /** Insert a chronologically-sorted batch; returns the per-type counts of
     * butterflies created. Edges are inserted first, then counted (each on
     * its maximum-timestamp edge), per the paper's conflict-free protocol.
+    * The whole batch is checked first, so a rejected batch changes nothing.
     */
   def insertBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
     require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
+    g.requireInsertable(batch)
     batch.foreach(g.insert)
     batchCount(g, batch, delta, asMin = false, threads)
   }
 
   /** Delete a batch of the globally-oldest edges; returns the per-type
     * counts of butterflies destroyed. Counting happens before deletion
-    * (each butterfly on its minimum-timestamp edge).
+    * (each butterfly on its minimum-timestamp edge). The whole batch is
+    * checked first, so a rejected batch changes nothing.
     */
   def deleteBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
     require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
+    g.requireDeletable(batch)
     val removed = batchCount(g, batch, delta, asMin = true, threads)
     batch.foreach(g.delete)
     removed

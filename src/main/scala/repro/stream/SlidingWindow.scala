@@ -24,39 +24,36 @@ object SlidingWindow {
       edges: IndexedSeq[TemporalEdge], window: Int, stride: Int, delta: Long,
       threads: Int = 0,
       onStep: Step => Unit = _ => ()): Array[Long] = {
-    require(window > 0 && stride > 0 && stride <= window, "need 0 < stride <= window")
+    require(window > 0 && stride > 0 && stride <= window,
+      s"need 0 < stride <= window, got window = $window, stride = $stride")
     require(threads >= 0, s"threads must be 0 (STBC) or at least 1 (STBC+), got $threads")
     Sat.requireDelta(delta)
-    require(edges.sliding(2).forall(p => p.length < 2 || p(0).t <= p(1).t),
-      "stream edges must be chronologically sorted")
+    for (k <- 1 until edges.length) require(edges(k - 1).t <= edges(k).t,
+      s"stream edges must be chronologically sorted, got ${edges(k)} after ${edges(k - 1)}")
 
     val g = new StreamGraph
     val counts = new Array[Long](6)
 
-    def insertRange(lo: Int, hi: Int): Unit =
+    // Insert (sign 1) or expire (sign -1) the edges `lo until hi`.
+    def update(lo: Int, hi: Int, sign: Long): Unit =
       if (threads == 0) {
         var i = lo
         while (i < hi) {
           val e = edges(i)
-          g.insert(e)
-          addCounts(counts, STBC.countContaining(g, e, delta))
+          if (sign > 0) g.insert(e)
+          addCounts(counts, STBC.countContaining(g, e, delta), sign)
+          if (sign < 0) g.delete(e)
           i += 1
         }
-      } else addCounts(counts, STBCPlus.insertBatch(g, edges.slice(lo, hi), delta, threads))
-
-    def deleteRange(lo: Int, hi: Int): Unit =
-      if (threads == 0) {
-        var i = lo
-        while (i < hi) {
-          val e = edges(i)
-          addCounts(counts, STBC.countContaining(g, e, delta), sign = -1L)
-          g.delete(e)
-          i += 1
-        }
-      } else addCounts(counts, STBCPlus.deleteBatch(g, edges.slice(lo, hi), delta, threads), sign = -1L)
+      } else {
+        val batch = edges.slice(lo, hi)
+        addCounts(counts,
+          if (sign > 0) STBCPlus.insertBatch(g, batch, delta, threads)
+          else STBCPlus.deleteBatch(g, batch, delta, threads), sign)
+      }
 
     val firstEnd = math.min(window, edges.length)
-    insertRange(0, firstEnd)
+    update(0, firstEnd, 1L)
     var stepIdx = 0
     var start = 0
     var end = firstEnd
@@ -67,9 +64,9 @@ object SlidingWindow {
       // insert the incoming stride first, then expire the oldest edges —
       // the paper's STBC+ protocol (all insertions land before counting,
       // deletions are counted before they are applied).
-      insertRange(end, newEnd)
+      update(end, newEnd, 1L)
       val newStart = start + (newEnd - end)
-      deleteRange(start, newStart)
+      update(start, newStart, -1L)
       start = newStart
       end = newEnd
       stepIdx += 1

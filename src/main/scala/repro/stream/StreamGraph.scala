@@ -19,28 +19,25 @@ import repro.util.LongBuf
   *     "store E(u) in a queue ... use binary search to compress the
   *     traversal range" engineering of Algorithm 7.
   *
-  * Vertices from both layers share one key space: upper `2u`, lower `2v+1`.
-  * That folding is one-to-one only for ids in `[-2^62, 2^62)`, so
-  * [[insert]] rejects any other id.
+  * Every vertex gets a dense slot the first time it appears, from one id
+  * map per layer, so any `Long` id of either layer is accepted. The queues
+  * hold neighbour slots, and the slots of both layers are distinct.
   */
 final class StreamGraph {
 
-  private val slotOf = mutable.HashMap.empty[Long, Int]
-  private val nbrs  = ArrayBuffer.empty[LongBuf] // neighbor keys
+  private val uppers = mutable.HashMap.empty[Long, Int]
+  private val lowers = mutable.HashMap.empty[Long, Int]
+  private val nbrs  = ArrayBuffer.empty[LongBuf] // neighbour slots
   private val times = ArrayBuffer.empty[LongBuf] // parallel timestamps
 
-  @inline def upperKey(u: Long): Long = u * 2
-  @inline def lowerKey(v: Long): Long = v * 2 + 1
+  /** Slot of upper vertex `u`, or -1 if it has never been seen. */
+  def upperSlot(u: Long): Int = uppers.getOrElse(u, -1)
 
-  /** Slot of a vertex key, or -1 if the vertex has never been seen. */
-  def slot(key: Long): Int = slotOf.getOrElse(key, -1)
+  /** Slot of lower vertex `v`, or -1 if it has never been seen. */
+  def lowerSlot(v: Long): Int = lowers.getOrElse(v, -1)
 
-  private def ensure(key: Long): Int =
-    slotOf.getOrElseUpdate(key, {
-      nbrs += new LongBuf
-      times += new LongBuf
-      nbrs.length - 1
-    })
+  private def ensure(ids: mutable.HashMap[Long, Int], id: Long): Int =
+    ids.getOrElseUpdate(id, { nbrs += new LongBuf; times += new LongBuf; nbrs.length - 1 })
 
   /** Number of live edges incident to slot `s`. */
   def liveDegree(s: Int): Int = if (s < 0) 0 else nbrs(s).length
@@ -53,52 +50,66 @@ final class StreamGraph {
     total / 2
   }
 
-  private def append(s: Int, nk: Long, t: Long): Unit = {
-    val ts = times(s)
-    require(ts.isEmpty || t >= ts.last,
-      s"stream graph requires chronological insertion (got $t after ${ts.last})")
-    nbrs(s) += nk
-    ts += t
-  }
-
-  private def foldable(id: Long): Boolean = id >= -(1L << 62) && id < (1L << 62)
+  private def newest(s: Int): Long = if (s < 0 || times(s).isEmpty) Long.MinValue else times(s).last
 
   /** Insert one edge; `t` must not precede any edge already incident to
-    * either endpoint, and both ids must lie in `[-2^62, 2^62)`.
+    * either endpoint. A rejected edge changes nothing.
     */
   def insert(e: TemporalEdge): Unit = {
-    require(foldable(e.u) && foldable(e.v),
-      s"stream graph ids must lie in [-2^62, 2^62) to fold into one key space (got $e)")
-    val a = ensure(upperKey(e.u))
-    val b = ensure(lowerKey(e.v))
-    append(a, lowerKey(e.v), e.t)
-    append(b, upperKey(e.u), e.t)
+    requireInsertable(e :: Nil)
+    val a = ensure(uppers, e.u)
+    val b = ensure(lowers, e.v)
+    nbrs(a) += b; times(a) += e.t
+    nbrs(b) += a; times(b) += e.t
+  }
+
+  /** Reject, before any change, a batch that [[insert]] would reject part-way. */
+  def requireInsertable(batch: Seq[TemporalEdge]): Unit = {
+    var prev = Long.MinValue
+    batch.foreach { e =>
+      val last = math.max(prev, math.max(newest(upperSlot(e.u)), newest(lowerSlot(e.v))))
+      require(e.t >= last, s"stream graph requires chronological insertion (got $e after time $last)")
+      prev = e.t
+    }
   }
 
   /** Delete one edge in O(1). It must be the oldest live edge of both
     * endpoints, as it is when edges expire in arrival order.
     */
   def delete(e: TemporalEdge): Unit = {
-    val a = slot(upperKey(e.u))
-    val b = slot(lowerKey(e.v))
-    require(isOldest(a, lowerKey(e.v), e.t) && isOldest(b, upperKey(e.u), e.t),
-      s"stream graph deletes only the oldest live edge of both endpoints (got $e)")
+    requireDeletable(e :: Nil)
+    val a = upperSlot(e.u)
+    val b = lowerSlot(e.v)
     nbrs(a).dropFront(1); times(a).dropFront(1)
     nbrs(b).dropFront(1); times(b).dropFront(1)
   }
 
-  private def isOldest(s: Int, nk: Long, t: Long): Boolean =
-    s >= 0 && nbrs(s).nonEmpty && nbrs(s)(0) == nk && times(s)(0) == t
+  /** Reject, before any change, a batch that [[delete]] would reject part-way. */
+  def requireDeletable(batch: Seq[TemporalEdge]): Unit = {
+    val taken = mutable.HashMap.empty[Int, Int].withDefaultValue(0) // slot -> earlier batch edges
+    def holds(s: Int, nbr: Int, t: Long) = {
+      val k = taken(s)
+      s >= 0 && k < nbrs(s).length && nbrs(s)(k) == nbr && times(s)(k) == t
+    }
+    batch.foreach { e =>
+      val a = upperSlot(e.u)
+      val b = lowerSlot(e.v)
+      require(holds(a, b, e.t) && holds(b, a, e.t),
+        s"stream graph deletes only the oldest live edge of both endpoints (got $e)")
+      taken(a) += 1; taken(b) += 1
+    }
+  }
 
   /** Visit live incident edges of slot `s` with timestamp in the interval
-    * bounded by `lo`/`hi` (each strict or inclusive), in time order.
+    * bounded by `lo`/`hi` (each strict or inclusive), in time order, as
+    * (neighbour slot, time).
     */
   def foreachInRange(s: Int, lo: Long, loStrict: Boolean, hi: Long, hiStrict: Boolean)(
-      f: (Long, Long) => Unit): Unit = {
+      f: (Int, Long) => Unit): Unit = {
     if (s < 0) return
     val nb = nbrs(s); val ts = times(s)
     var i = ts.rank(lo, inclusive = loStrict)
     val end = ts.rank(hi, inclusive = !hiStrict, from = i)
-    while (i < end) { f(nb(i), ts(i)); i += 1 }
+    while (i < end) { f(nb(i).toInt, ts(i)); i += 1 }
   }
 }

@@ -96,6 +96,14 @@ class ApproxSpec extends AnyFunSuite {
     }
   }
 
+  test("window segmentation rejects a non-positive budget, naming it") {
+    val edges = IndexedSeq(TemporalEdge(0, 0, 1))
+    for (nTW <- Seq(0, -4)) {
+      val err = intercept[IllegalArgumentException](SGrappTBC.windows(edges, nTW))
+      assert(err.getMessage.contains(s"nTW = $nTW"), err.getMessage)
+    }
+  }
+
   test("a single window with theta=0 is exact") {
     val edges = stream(5, 120)
     val exact = BruteForce.countByType(edges, 90)

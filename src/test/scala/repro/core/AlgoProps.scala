@@ -17,7 +17,7 @@ object AlgoProps extends Properties("TemporalButterfly") {
     n  <- Gen.choose(0, 90)
     tMax <- Gen.oneOf(6L, 40L, 400L)
     // Bases put timestamps at both ends of the Long range and ids at the
-    // ends of the [-2^62, 2^62) range that the stream and Spark paths fold.
+    // ends of the [-2^62, 2^62) range that the Spark path folds.
     tBase <- Gen.oneOf(0L, -200L, Long.MinValue, Long.MaxValue - tMax)
     idBase <- Gen.oneOf(0L, -3L, -(1L << 62), (1L << 62) - 10)
     // A hub-dominated draw adds hubDegree·nL edges from upper 0 to random

@@ -43,12 +43,27 @@ class Lemma8OracleSpec extends SparkSpec {
     } yield run)
   } yield (random ++ runs.flatten, delta)
 
-  private val graphs = (1 to 4).map(i => genGraph.pureApply(Gen.Parameters.default, Seed(i.toLong)))
+  private def draw(seed: Long) = genGraph.pureApply(Gen.Parameters.default, Seed(seed))
+
+  private val graphs = (1 to 4).map(i => draw(i.toLong))
+
+  /** Graph 4: seed 5's draw with each layer's ids moved, in order, to
+    * alternate ends of the whole `Long` range, which only Spark limits.
+    */
+  private val wide = {
+    val (edges, delta) = draw(5)
+    def toEnds(ids: Seq[Long]): Map[Long, Long] = ids.distinct.sorted.zipWithIndex.map {
+      case (id, i) => id -> (if (i % 2 == 0) Long.MinValue + i / 2 else Long.MaxValue - i / 2)
+    }.toMap
+    val us = toEnds(edges.map(_.u))
+    val vs = toEnds(edges.map(_.v))
+    (edges.map(e => TemporalEdge(us(e.u), vs(e.v), e.t)), delta)
+  }
 
   private def lemma8(edges: Seq[TemporalEdge], delta: Long): Array[Long] =
     STBCPlus.insertBatch(new StreamGraph, edges.sortBy(_.t), delta)
 
-  for (((edges, delta), i) <- graphs.zipWithIndex)
+  for (((edges, delta), i) <- (graphs :+ wide).zipWithIndex)
     test(s"static counters equal STBC+ inserting the whole sorted graph (graph $i)") {
       assert(edges.length >= 2000 && edges.length <= 5000)
       val want = lemma8(edges, delta)

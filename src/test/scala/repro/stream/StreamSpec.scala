@@ -22,8 +22,8 @@ class StreamSpec extends AnyFunSuite {
     g.insert(TemporalEdge(0, 1, 2))
     g.insert(TemporalEdge(1, 0, 3))
     assert(g.numEdges == 3)
-    assert(g.liveDegree(g.slot(g.upperKey(0))) == 2)
-    assert(g.liveDegree(g.slot(g.lowerKey(0))) == 2)
+    assert(g.liveDegree(g.upperSlot(0)) == 2)
+    assert(g.liveDegree(g.lowerSlot(0)) == 2)
   }
 
   test("stream graph rejects out-of-order insertion") {
@@ -32,19 +32,41 @@ class StreamSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](g.insert(TemporalEdge(0, 0, 5)))
   }
 
-  test("stream graph rejects ids the 2u / 2v+1 key folding cannot represent") {
-    // Upper ids 1 and Long.MinValue + 1 would both fold to key 2.
-    val g = new StreamGraph
-    g.insert(TemporalEdge(1, 0, 1))
-    for (e <- Seq(TemporalEdge(Long.MinValue + 1, 1, 2), TemporalEdge(1L << 62, 1, 2),
-                  TemporalEdge(0, -(1L << 62) - 1, 2), TemporalEdge(0, Long.MaxValue, 2))) {
-      val err = intercept[IllegalArgumentException](g.insert(e))
-      assert(err.getMessage.contains(e.toString))
+  /** Every live edge of the given vertices, per vertex, in time order. */
+  private def contents(g: StreamGraph, uppers: Seq[Long], lowers: Seq[Long]) =
+    (uppers.map(g.upperSlot) ++ lowers.map(g.lowerSlot)).map { s =>
+      val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
+      g.foreachInRange(s, Long.MinValue, loStrict = false, Long.MaxValue, hiStrict = false)(
+        (n, t) => out += ((n, t)))
+      (s, g.liveDegree(s), out.toList)
     }
-    // Nothing of a rejected edge was inserted, not even its lower vertex.
-    assert(g.numEdges == 1 && g.slot(g.lowerKey(1)) == -1)
-    g.insert(TemporalEdge(-(1L << 62), (1L << 62) - 1, 3))
-    assert(g.numEdges == 2)
+
+  test("stream graph accepts any Long id, and a rejected insert changes nothing") {
+    // Upper ids 1 and Long.MinValue + 1 once folded into one key (2u).
+    val edges = IndexedSeq(
+      TemporalEdge(1, 0, 1), TemporalEdge(Long.MinValue + 1, 0, 2),
+      TemporalEdge(1, Long.MaxValue, 3), TemporalEdge(Long.MinValue + 1, Long.MaxValue, 4))
+    val g = new StreamGraph
+    edges.foreach(g.insert)
+    assert(g.numEdges == 4)
+    for (u <- Seq(1L, Long.MinValue + 1)) assert(g.liveDegree(g.upperSlot(u)) == 2)
+    assert(g.liveDegree(g.lowerSlot(Long.MaxValue)) == 2)
+    val want = BruteForce.countByType(edges, 10)
+    assert(want.sum == 1L)
+    TestUtil.assertCountsEqual(want, STBC.countContaining(g, edges.last, 10), "STBC")
+    TestUtil.assertCountsEqual(want, STBCPlus.insertBatch(new StreamGraph, edges, 10), "STBC+")
+
+    // Upper 0 would take a half-edge to lower 1 before lower 1's check failed.
+    val h = new StreamGraph
+    h.insert(TemporalEdge(0, 0, 10))
+    h.insert(TemporalEdge(1, 1, 20))
+    val before = contents(h, Seq(0, 1), Seq(0, 1))
+    for (e <- Seq(TemporalEdge(0, 1, 15), TemporalEdge(7, 1, 15))) {
+      val err = intercept[IllegalArgumentException](h.insert(e))
+      assert(err.getMessage.contains(e.toString), err.getMessage)
+    }
+    assert(h.numEdges == 2 && contents(h, Seq(0, 1), Seq(0, 1)) == before)
+    assert(h.upperSlot(7) == -1)
   }
 
   test("stream graph oldest-first deletion and compaction") {
@@ -54,7 +76,7 @@ class StreamSpec extends AnyFunSuite {
     edges.take(250).foreach(g.delete)
     assert(g.numEdges == 50)
     var seen = 0
-    g.foreachInRange(g.slot(g.upperKey(0)), Long.MinValue, loStrict = false,
+    g.foreachInRange(g.upperSlot(0), Long.MinValue, loStrict = false,
       Long.MaxValue, hiStrict = false)((_, _) => seen += 1)
     assert(seen == 50)
   }
@@ -77,7 +99,7 @@ class StreamSpec extends AnyFunSuite {
     Seq(1L, 3L, 5L, 7L).foreach(t => g.insert(TemporalEdge(0, t, t)))
     def collect(lo: Long, loS: Boolean, hi: Long, hiS: Boolean) = {
       val out = scala.collection.mutable.ArrayBuffer.empty[Long]
-      g.foreachInRange(g.slot(g.upperKey(0)), lo, loS, hi, hiS)((_, t) => out += t)
+      g.foreachInRange(g.upperSlot(0), lo, loS, hi, hiS)((_, t) => out += t)
       out.toSeq
     }
     assert(collect(3, loS = false, 5, hiS = false) == Seq(3L, 5L))
@@ -273,7 +295,8 @@ class StreamSpec extends AnyFunSuite {
   test("sliding window rejects bad parameters") {
     val edges = sortedStream(1, 3, 3, 30, 50)
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 0, 1, 10))
-    intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 20, 10))
+    val err = intercept[IllegalArgumentException](SlidingWindow.run(edges, 10, 20, 10))
+    assert(err.getMessage.contains("window = 10, stride = 20"), err.getMessage)
   }
 
   test("sliding window rejects a negative thread count, naming it") {
@@ -295,8 +318,39 @@ class StreamSpec extends AnyFunSuite {
     assert(g.numEdges == 40)
   }
 
+  test("a rejected STBC+ batch leaves the graph as it was") {
+    val g = new StreamGraph
+    val live = Seq(TemporalEdge(0, 0, 10), TemporalEdge(0, 1, 20), TemporalEdge(1, 1, 30))
+    live.foreach(g.insert)
+    val before = contents(g, Seq(0, 1, 2), Seq(0, 1, 2))
+    val badInserts = Seq(
+      Seq(TemporalEdge(2, 2, 35), TemporalEdge(1, 2, 31)),  // out of order
+      Seq(TemporalEdge(2, 2, 25), TemporalEdge(1, 2, 28)))  // older than upper 1's newest
+    for (b <- badInserts) {
+      val err = intercept[IllegalArgumentException](STBCPlus.insertBatch(g, b, 100))
+      assert(err.getMessage.contains(b.last.toString), err.getMessage)
+      assert(contents(g, Seq(0, 1, 2), Seq(0, 1, 2)) == before, s"after inserting $b")
+    }
+    val badDeletes = Seq(
+      Seq(TemporalEdge(0, 0, 10), TemporalEdge(1, 1, 30)), // lower 1 still holds (0, 1, 20)
+      Seq(TemporalEdge(0, 0, 10), TemporalEdge(0, 0, 10)), // the same edge twice
+      Seq(TemporalEdge(0, 0, 10), TemporalEdge(2, 2, 40))) // never inserted
+    for (b <- badDeletes) {
+      val err = intercept[IllegalArgumentException](STBCPlus.deleteBatch(g, b, 100))
+      assert(err.getMessage.contains(b.last.toString), err.getMessage)
+      assert(contents(g, Seq(0, 1, 2), Seq(0, 1, 2)) == before, s"after deleting $b")
+    }
+    // Each edge is oldest at both endpoints once the earlier ones are gone.
+    STBCPlus.deleteBatch(g, live, 100)
+    assert(g.numEdges == 0)
+  }
+
   test("sliding window rejects unsorted streams") {
     val edges = IndexedSeq(TemporalEdge(0, 0, 5), TemporalEdge(1, 1, 1))
     intercept[IllegalArgumentException](SlidingWindow.run(edges, 2, 1, 10))
+    // The error names the first out-of-order pair.
+    val later = IndexedSeq(TemporalEdge(0, 0, 1), TemporalEdge(0, 1, 5), TemporalEdge(1, 1, 3))
+    val err = intercept[IllegalArgumentException](SlidingWindow.run(later, 2, 1, 10))
+    assert(err.getMessage.contains(s"${later(2)} after ${later(1)}"), err.getMessage)
   }
 }
