@@ -120,29 +120,27 @@ object STBCPlus {
   /** Insert a chronologically-sorted batch; returns the per-type counts of
     * butterflies created. Edges are inserted first, then counted (each on
     * its maximum-timestamp edge), per the paper's conflict-free protocol.
-    * The whole batch is checked first, so a rejected batch changes nothing.
+    * A rejected batch changes nothing (see `StreamGraph.insert`).
     */
   def insertBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
     require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
-    g.requireInsertable(batch)
-    batch.foreach(g.insert)
+    g.insert(batch)
     batchCount(g, batch, delta, asMin = false, threads)
   }
 
   /** Delete a batch of the globally-oldest edges; returns the per-type
     * counts of butterflies destroyed. Counting happens before deletion
-    * (each butterfly on its minimum-timestamp edge). The whole batch is
-    * checked first, so a rejected batch changes nothing.
+    * (each butterfly on its minimum-timestamp edge). A rejected batch
+    * changes nothing (see `StreamGraph.delete`).
     */
   def deleteBatch(g: StreamGraph, batch: Seq[TemporalEdge], delta: Long,
                   threads: Int = 1): Array[Long] = {
     Sat.requireDelta(delta)
     require(threads >= 1, s"STBC+ needs at least 1 thread, got $threads")
-    g.requireDeletable(batch)
     val removed = batchCount(g, batch, delta, asMin = true, threads)
-    batch.foreach(g.delete)
+    g.delete(batch)
     removed
   }
 }

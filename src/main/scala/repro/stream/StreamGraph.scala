@@ -52,40 +52,37 @@ final class StreamGraph {
 
   private def newest(s: Int): Long = if (s < 0 || times(s).isEmpty) Long.MinValue else times(s).last
 
-  /** Insert one edge; `t` must not precede any edge already incident to
-    * either endpoint. A rejected edge changes nothing.
-    */
-  def insert(e: TemporalEdge): Unit = {
-    requireInsertable(e :: Nil)
-    val a = ensure(uppers, e.u)
-    val b = ensure(lowers, e.v)
-    nbrs(a) += b; times(a) += e.t
-    nbrs(b) += a; times(b) += e.t
-  }
+  /** Insert one edge, as a batch of one. */
+  def insert(e: TemporalEdge): Unit = insert(e :: Nil)
 
-  /** Reject, before any change, a batch that [[insert]] would reject part-way. */
-  def requireInsertable(batch: Seq[TemporalEdge]): Unit = {
+  /** Insert a batch in time order; no edge may precede an edge already
+    * incident to either endpoint. The batch is checked whole before any
+    * change, so a rejected batch changes nothing.
+    */
+  def insert(batch: Seq[TemporalEdge]): Unit = {
     var prev = Long.MinValue
     batch.foreach { e =>
       val last = math.max(prev, math.max(newest(upperSlot(e.u)), newest(lowerSlot(e.v))))
       require(e.t >= last, s"stream graph requires chronological insertion (got $e after time $last)")
       prev = e.t
     }
+    batch.foreach { e =>
+      val a = ensure(uppers, e.u)
+      val b = ensure(lowers, e.v)
+      nbrs(a) += b; times(a) += e.t
+      nbrs(b) += a; times(b) += e.t
+    }
   }
 
-  /** Delete one edge in O(1). It must be the oldest live edge of both
-    * endpoints, as it is when edges expire in arrival order.
+  /** Delete one edge in O(1), as a batch of one. */
+  def delete(e: TemporalEdge): Unit = delete(e :: Nil)
+
+  /** Delete a batch, each edge in O(1). Each edge must be the oldest live
+    * edge of both endpoints once the earlier ones are gone, as it is when
+    * edges expire in arrival order. The batch is checked whole before any
+    * change, so a rejected batch changes nothing.
     */
-  def delete(e: TemporalEdge): Unit = {
-    requireDeletable(e :: Nil)
-    val a = upperSlot(e.u)
-    val b = lowerSlot(e.v)
-    nbrs(a).dropFront(1); times(a).dropFront(1)
-    nbrs(b).dropFront(1); times(b).dropFront(1)
-  }
-
-  /** Reject, before any change, a batch that [[delete]] would reject part-way. */
-  def requireDeletable(batch: Seq[TemporalEdge]): Unit = {
+  def delete(batch: Seq[TemporalEdge]): Unit = {
     val taken = mutable.HashMap.empty[Int, Int].withDefaultValue(0) // slot -> earlier batch edges
     def holds(s: Int, nbr: Int, t: Long) = {
       val k = taken(s)
@@ -98,6 +95,7 @@ final class StreamGraph {
         s"stream graph deletes only the oldest live edge of both endpoints (got $e)")
       taken(a) += 1; taken(b) += 1
     }
+    taken.foreach { case (s, k) => nbrs(s).dropFront(k); times(s).dropFront(k) }
   }
 
   /** Visit live incident edges of slot `s` with timestamp in the interval

@@ -16,10 +16,9 @@ object AlgoProps extends Properties("TemporalButterfly") {
     nL <- Gen.choose(2, 6)
     n  <- Gen.choose(0, 90)
     tMax <- Gen.oneOf(6L, 40L, 400L)
-    // Bases put timestamps at both ends of the Long range and ids at the
-    // ends of the [-2^62, 2^62) range that the Spark path folds.
+    // Bases put timestamps and ids at both ends of the Long range.
     tBase <- Gen.oneOf(0L, -200L, Long.MinValue, Long.MaxValue - tMax)
-    idBase <- Gen.oneOf(0L, -3L, -(1L << 62), (1L << 62) - 10)
+    idBase <- Gen.oneOf(0L, -3L, Long.MinValue, Long.MaxValue - 10)
     // A hub-dominated draw adds hubDegree·nL edges from upper 0 to random
     // lowers: it reaches most lowers at several times, so the groups of one
     // start vertex hold many live start times at once.

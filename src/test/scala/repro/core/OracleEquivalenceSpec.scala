@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec, TestUtil}
-import repro.graph.TemporalEdge
+import repro.graph.{LocalGraph, SynthBipartite, TemporalEdge}
 import repro.sparkdist.SparkButterfly
 
 /** End-to-end result-equality against DuckDB: the SQL oracle enumerates
@@ -20,7 +20,7 @@ class OracleEquivalenceSpec extends SparkSpec {
   private def edgesDF(edges: Seq[TemporalEdge]) = SparkButterfly.edgesToDF(spark, edges)
 
   private def checkLocal(edges: Seq[TemporalEdge], delta: Long): Unit = {
-    val g = repro.graph.LocalGraph.fromEdges(edges)
+    val g = LocalGraph.fromEdges(edges)
     for (variant <- Variant.all) {
       val c = LocalAlgos.count(g, delta, variant)
       Oracle.assertEquivalent(countsToDF(c), OracleSql.countByType(delta), "edges" -> edgesDF(edges))
@@ -33,9 +33,18 @@ class OracleEquivalenceSpec extends SparkSpec {
       checkLocal(TestUtil.singleButterfly(stamps._1, stamps._2, stamps._3, stamps._4), 100)
     }
 
-  for (seed <- 1 to 5)
-    test(s"DuckDB agrees with all local variants on random graph (seed $seed)") {
-      checkLocal(TestUtil.randomEdges(seed, 4, 5, 80, 60), 30)
+  // Five uniform random graphs and one bounded sample of the bursty
+  // generator the benchmarks and jobs run on.
+  private val localInputs: Seq[(String, Seq[TemporalEdge], Long)] =
+    (1 to 5).map(seed => (s"random graph (seed $seed)", TestUtil.randomEdges(seed, 4, 5, 80, 60), 30L)) :+
+      (("a SynthBipartite sample",
+        SynthBipartite.generate(SynthBipartite.Config(nU = 20, nL = 30, nE = 300, spanDays = 120, seed = 3)),
+        40L * SynthBipartite.SecondsPerDay))
+
+  for ((label, edges, delta) <- localInputs)
+    test(s"DuckDB agrees with all local variants on $label") {
+      assert(LocalAlgos.tbcPlusPlus(LocalGraph.fromEdges(edges), delta).sum > 0, "no butterfly to compare")
+      checkLocal(edges, delta)
     }
 
   for (seed <- 6 to 8)

@@ -81,11 +81,19 @@ class SparkButterflySpec extends SparkSpec {
         assert(SparkButterfly.count(df(edges), delta, variant).sum == 0L, s"spark-${variant.name}")
     }
 
-  test("ids outside [-2^62, 2^62) are rejected with the range named") {
-    val edges = Seq(TemporalEdge(1L << 62, 0, 1), TemporalEdge(1, 0, 2))
-    val e = intercept[Exception](SparkButterfly.count(df(edges), 100, Variant.PlusPlus))
-    val msg = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
-    assert(msg.contains("[-2^62, 2^62)") && msg.contains(s"u = ${1L << 62}"), msg)
+  // Both layers use the same ids, at both ends of the Long range: the
+  // vertex is (layer, id), so upper x and lower x stay apart.
+  test("ids at both ends of the Long range match brute force") {
+    def wide(id: Long) = if (id % 2 == 0) Long.MinValue + id else Long.MaxValue - id
+    val edges = TestUtil.randomEdges(14, 4, 4, 70, 40).map(e => TemporalEdge(wide(e.u), wide(e.v), e.t))
+    check(edges, 20, "wide ids")
+    val want = BruteForce.enumerate(edges, 20).groupBy(identity).view.mapValues(_.size).toMap
+    assert(want.nonEmpty)
+    for (variant <- Variant.all) {
+      val got = SparkButterfly.enumerate(df(edges), 20, variant).collect()
+        .groupBy(identity).view.mapValues(_.size).toMap
+      assert(got == want, variant.name)
+    }
   }
 
   test("a negative delta is rejected on the driver") {
@@ -101,30 +109,34 @@ class SparkButterflySpec extends SparkSpec {
   }
 
   test("wedge DataFrame honors priority and pruning") {
-    val edges = TestUtil.randomEdges(13, 4, 4, 60, 50)
-    val pruned = SparkButterfly.wedges(df(edges), 10, prune = true).collect()
-    assert(pruned.forall(w => w.t1 != w.t2 && math.abs(w.t2 - w.t1) <= 10))
-    val all = SparkButterfly.wedges(df(edges), 10, prune = false).collect()
-    assert(all.length >= pruned.length)
-    // every wedge starts and ends on different vertices of the same layer
-    assert(all.forall(w => (w.a & 1) == (w.w & 1) && w.a != w.w && (w.m & 1) != (w.a & 1)))
+    // In the 3x3 biclique every degree is equal, so the (layer, id) tie-break alone orders it.
+    val biclique = for (u <- 1L to 3L; v <- 1L to 3L) yield TemporalEdge(u, v, 3 * u + v)
+    for (edges <- Seq(TestUtil.randomEdges(13, 4, 4, 60, 50), biclique)) {
+      val pruned = SparkButterfly.wedges(df(edges), 10, prune = true).collect()
+      assert(pruned.forall(w => w.t1 != w.t2 && math.abs(w.t2 - w.t1) <= 10))
+      val all = SparkButterfly.wedges(df(edges), 10, prune = false).collect()
+      assert(all.length >= pruned.length)
 
-    // Priority on the driver: (degree, folded id), upper u as 2u, lower v as 2v + 1.
-    val halves = edges.flatMap(e => Seq((2 * e.u, 2 * e.v + 1, e.t), (2 * e.v + 1, 2 * e.u, e.t)))
-    val deg = halves.groupBy(_._1).view.mapValues(_.size).toMap
-    def above(x: Long, y: Long) = deg(x) > deg(y) || (deg(x) == deg(y) && x > y)
-    def sorted(rows: Seq[SparkButterfly.WedgeRow]) = rows.sortBy(r => (r.a, r.w, r.m, r.t1, r.t2))
-    for ((prune, got) <- Seq((true, pruned), (false, all))) {
-      assert(got.forall(r => above(r.a, r.m) && above(r.a, r.w)), s"prune = $prune")
-      val want = for {
-        (m, a, t1) <- halves
-        (m2, w, t2) <- halves
-        if m == m2 && above(a, m) && above(a, w) && (!prune || (t1 != t2 && math.abs(t2 - t1) <= 10))
-      } yield SparkButterfly.WedgeRow(a, w, m, t1, t2)
-      assert(sorted(got.toSeq) == sorted(want), s"prune = $prune")
-      // Degrees come from window counts, not from a joined-back aggregate.
-      val plan = SparkButterfly.wedges(df(edges), 10, prune).queryExecution.executedPlan.toString
-      assert(!plan.contains("HashAggregate"), plan)
+      // The expected rows are the local driver's wedges: the start vertex a is
+      // above both m and w under `LocalGraph`'s priority (Definition 4).
+      val g = LocalGraph.fromEdges(edges)
+      def sorted(rows: Seq[SparkButterfly.WedgeRow]) = rows.sortBy(r => (r.layer, r.a, r.w, r.m, r.t1, r.t2))
+      for ((prune, got) <- Seq((true, pruned), (false, all))) {
+        val want = for {
+          a <- 0 until g.n
+          i <- g.adjN(a).indices
+          m = g.adjN(a)(i)
+          j <- g.adjN(m).indices
+          w = g.adjN(m)(j)
+          t1 = g.adjT(a)(i)
+          t2 = g.adjT(m)(j)
+          if g.pri(a) > g.pri(m) && g.pri(a) > g.pri(w) && (!prune || (t1 != t2 && math.abs(t2 - t1) <= 10))
+        } yield SparkButterfly.WedgeRow(g.layer(a).toInt, g.origId(a), g.origId(w), g.origId(m), t1, t2)
+        assert(sorted(got.toSeq) == sorted(want), s"prune = $prune")
+        // Degrees come from window counts, not from a joined-back aggregate.
+        val plan = SparkButterfly.wedges(df(edges), 10, prune).queryExecution.executedPlan.toString
+        assert(!plan.contains("HashAggregate"), plan)
+      }
     }
   }
 }

@@ -9,11 +9,13 @@ import repro.core.{AlgoProps, BruteForce, Variant}
 /** `SparkButterfly.count` against `BruteForce` on a few draws of the
   * property generators (extreme timestamps and ids, hubs, runs of equal
   * timestamps, δ up to `Long.MaxValue`). Each draw costs Spark jobs, so the
-  * sample is five fixed seeds rather than a full ScalaCheck run.
+  * sample is a few fixed seeds rather than a full ScalaCheck run: 1 to 5,
+  * whose ids lie near 0, and 7 and 11, whose ids sit at the top and the
+  * bottom of the `Long` range.
   */
 class SparkPropSpec extends SparkSpec {
 
-  for (seed <- 1L to 5L)
+  for (seed <- (1L to 5L) ++ Seq(7L, 11L))
     test(s"spark count == brute force on a generated graph (seed $seed)") {
       val draw = Gen.zip(AlgoProps.genEdges, AlgoProps.genDelta)
       val (edges, delta) = draw.pureApply(Gen.Parameters.default, Seed(seed))

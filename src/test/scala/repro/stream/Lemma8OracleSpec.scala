@@ -48,7 +48,7 @@ class Lemma8OracleSpec extends SparkSpec {
   private val graphs = (1 to 4).map(i => draw(i.toLong))
 
   /** Graph 4: seed 5's draw with each layer's ids moved, in order, to
-    * alternate ends of the whole `Long` range, which only Spark limits.
+    * alternate ends of the whole `Long` range.
     */
   private val wide = {
     val (edges, delta) = draw(5)
@@ -74,9 +74,9 @@ class Lemma8OracleSpec extends SparkSpec {
       assert(LocalAlgos.tbePlus(g, delta, collect = false)._1 == want.sum, s"graph $i TBE+")
     }
 
-  test("Spark count equals STBC+ inserting the whole sorted graph (graph 0)") {
-    val (edges, delta) = graphs(0)
-    val got = SparkButterfly.count(SparkButterfly.edgesToDF(spark, edges), delta, Variant.PlusPlus)
-    TestUtil.assertCountsEqual(lemma8(edges, delta), got, "graph 0 Spark")
-  }
+  for ((i, (edges, delta)) <- Seq(0 -> graphs(0), 4 -> wide))
+    test(s"Spark count equals STBC+ inserting the whole sorted graph (graph $i)") {
+      val got = SparkButterfly.count(SparkButterfly.edgesToDF(spark, edges), delta, Variant.PlusPlus)
+      TestUtil.assertCountsEqual(lemma8(edges, delta), got, s"graph $i Spark")
+    }
 }
