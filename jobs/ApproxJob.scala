@@ -13,7 +13,7 @@ import repro.graph.Datasets
   */
 object ApproxJob {
   def main(args: Array[String]): Unit = {
-    val keys = if (args.nonEmpty) args.toSeq else Seq("WN", "TW")
+    val keys = JobArgs.datasetKeys(args.toSeq, "WN", "TW")
     ApproxEval.approxSweep(keys)
     ApproxEval.sgrappSweep(keys)
   }

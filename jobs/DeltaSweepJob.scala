@@ -9,7 +9,7 @@ import repro.eval.Eval
   */
 object DeltaSweepJob {
   def main(args: Array[String]): Unit = {
-    val keys = if (args.nonEmpty) args.toSeq else Seq("WN", "CU", "EP")
+    val keys = JobArgs.datasetKeys(args.toSeq, "WN", "CU", "EP")
     keys.foreach(Eval.deltaSweep(_, limitMs = 60000L))
   }
 }

@@ -10,7 +10,7 @@ import repro.eval.Eval
   */
 object OverallPerfJob {
   def main(args: Array[String]): Unit = {
-    val limitMs = args.headOption.map(_.toLong).getOrElse(60000L)
+    val limitMs = JobArgs.limit(args.toSeq, 0, "limitMs", 60000L)
     Eval.overallPerf(_ => limitMs)
   }
 }

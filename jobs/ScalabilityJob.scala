@@ -9,7 +9,7 @@ import repro.eval.Eval
   */
 object ScalabilityJob {
   def main(args: Array[String]): Unit = {
-    val keys = if (args.nonEmpty) args.toSeq else Seq("CU", "EP")
+    val keys = JobArgs.datasetKeys(args.toSeq, "CU", "EP")
     keys.foreach(Eval.scalability(_, limitMs = 60000L, reps = 3, seed = 7))
   }
 }

@@ -14,7 +14,7 @@ import repro.sparkdist.SparkButterfly
 object SparkCountJob {
   def main(args: Array[String]): Unit = {
     val spec = Datasets.byKey(args.lift(0).getOrElse("WN"))
-    val deltaDays = args.lift(1).map(_.toLong).getOrElse(40L)
+    val deltaDays = JobArgs.long(args.toSeq, 1, "deltaDays", 40L)
     val delta = Datasets.deltaSecondsOfDays(deltaDays)
     val name = args.lift(2).getOrElse("plusplus")
     val variant = Variant.all.find(_.name == name).getOrElse(throw new IllegalArgumentException(

@@ -11,7 +11,7 @@ import repro.stream.SlidingWindow
   */
 object StreamingJob {
   def main(args: Array[String]): Unit = {
-    val keys = if (args.nonEmpty) args.toSeq else Seq("LF", "WT")
+    val keys = JobArgs.datasetKeys(args.toSeq, "LF", "WT")
     StreamingEval.varyingWindow(keys, maxSteps = 20)
     StreamingEval.varyingStride(keys, maxSteps = 20)
     StreamingEval.varyingThreads(keys, maxSteps = 20)

@@ -10,7 +10,7 @@ import repro.graph.Datasets
   */
 object Table4Job {
   def main(args: Array[String]): Unit = {
-    val deltaDays = args.headOption.map(_.toLong).getOrElse(40L)
+    val deltaDays = JobArgs.long(args.toSeq, 0, "deltaDays", 40L)
     Eval.table4(Datasets.deltaSecondsOfDays(deltaDays))
   }
 }

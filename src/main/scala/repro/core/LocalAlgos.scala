@@ -2,7 +2,6 @@ package repro.core
 
 import java.util.concurrent.ConcurrentLinkedQueue
 
-import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 import scala.runtime.LongRef
 import repro.graph.LocalGraph
@@ -30,47 +29,44 @@ final class BenchTimeout extends RuntimeException("bench deadline exceeded")
   * emits into its own sink) and the partials are summed, so the counts
   * equal a sequential run's.
   *
-  * Memory stays O(|E| + k·max |W(u)|): a worker takes a new start vertex
-  * only once the queue is empty, so queued groups come from at most k start
-  * vertices (one per worker), each worker combines one group at a time, and
-  * a group's wedges are dropped once it is combined.
+  * Memory stays O(|E| + k·(n + max |W(u)|)), with one `n`-slot grouping
+  * array per worker: a worker takes a new start vertex only once the queue
+  * is empty, so queued groups come from at most k start vertices, each
+  * worker combines one group at a time, and a group's wedges are dropped
+  * once it is combined.
   */
 object LocalAlgos {
 
-  /** Vertices in descending priority. */
-  private def heaviestFirst(g: LocalGraph): Array[Int] = {
-    val order = new Array[Int](g.n)
-    var u = 0
-    while (u < g.n) { order(g.n - 1 - g.pri(u)) = u; u += 1 }
-    order
-  }
-
-  /** Enumerate the wedges of one start-vertex, grouped by end-vertex.
+  /** The wedges of start vertex `u`, grouped by end vertex, first reached first.
     * `prune` applies Lemma 1 at enumeration time (TBC+/TBC++); the baseline
     * stores every wedge and defers all checks to the combine phase.
+    * `groupOf` is the worker's scratch, indexed by vertex id: 1 + the index
+    * of the vertex's group, or 0; it is all zero between calls.
     */
   private def wedgeGroups(
-      g: LocalGraph, u: Int, delta: Long, prune: Boolean
-  ): mutable.LinkedHashMap[Int, ArrayBuffer[(Long, Long, Long)]] = {
-    val h = mutable.LinkedHashMap.empty[Int, ArrayBuffer[(Long, Long, Long)]]
-    val pu = g.pri(u)
+      g: LocalGraph, u: Int, delta: Long, prune: Boolean, groupOf: Array[Int]
+  ): ArrayBuffer[Group] = {
+    val groups = ArrayBuffer.empty[Group]
     val nbrs = g.adjN(u); val times = g.adjT(u)
     var i = 0
     while (i < nbrs.length) {
       val v = nbrs(i); val t1 = times(i)
-      if (pu > g.pri(v)) {
+      if (u > v) {
         val nbrs2 = g.adjN(v); val times2 = g.adjT(v)
         var j = 0
         while (j < nbrs2.length) {
           val w = nbrs2(j); val t2 = times2(j)
-          if (pu > g.pri(w) && (!prune || (t1 != t2 && Sat.within(t1, t2, delta))))
-            h.getOrElseUpdate(w, new ArrayBuffer) += ((g.origId(v).toLong, t1, t2))
+          if (u > w && (!prune || (t1 != t2 && Sat.within(t1, t2, delta)))) {
+            if (groupOf(w) == 0) { groups += new Group(u, w, new ArrayBuffer); groupOf(w) = groups.length }
+            groups(groupOf(w) - 1).wedges += ((g.origId(v), t1, t2))
+          }
           j += 1
         }
       }
       i += 1
     }
-    h
+    groups.foreach(grp => groupOf(grp.w) = 0)
+    groups
   }
 
   /** One (start, end) wedge group waiting to be combined. */
@@ -87,18 +83,17 @@ object LocalAlgos {
       init: => S)(combine: (S, Group) => Unit): Seq[S] = {
     Sat.requireDelta(delta)
     val prune = variant != Variant.Baseline
-    val order = heaviestFirst(g)
     val queue = new ConcurrentLinkedQueue[Group]
-    ParFold(g.n, ParFold.workers)(init) { (s, i) =>
-      val u = order(i)
-      for ((w, ws) <- wedgeGroups(g, u, delta, prune) if ws.length > 1) queue.add(new Group(u, w, ws))
+    ParFold(g.n, ParFold.workers)((init, new Array[Int](g.n))) { case ((s, groupOf), i) =>
+      val u = g.n - 1 - i // ids are priority ranks
+      wedgeGroups(g, u, delta, prune, groupOf).foreach(grp => if (grp.wedges.length > 1) queue.add(grp))
       var grp = queue.poll()
       while (grp != null) {
         try { if (System.nanoTime() > deadline) throw new BenchTimeout; combine(s, grp) }
         catch { case t: Throwable => queue.clear(); throw t }
         grp = queue.poll()
       }
-    }
+    }.map(_._1)
   }
 
   /** Run `variant` counting over the whole graph. */

@@ -157,8 +157,10 @@ object Datasets {
   /** The default duration threshold of the paper's evaluation: 40 days. */
   val DefaultDeltaSeconds: Long = 40L * SynthBipartite.SecondsPerDay
 
-  /** `days` days in seconds, rejecting a count whose seconds overflow a `Long`. */
-  def deltaSecondsOfDays(days: Long): Long =
+  /** `days` days in seconds, rejecting negative days and days whose seconds overflow a `Long`. */
+  def deltaSecondsOfDays(days: Long): Long = {
+    require(days >= 0, s"delta of $days days is negative")
     try Math.multiplyExact(days, SynthBipartite.SecondsPerDay) catch { case _: ArithmeticException =>
       throw new IllegalArgumentException(s"delta of $days days overflows a Long count of seconds") }
+  }
 }

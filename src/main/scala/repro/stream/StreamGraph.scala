@@ -29,6 +29,7 @@ final class StreamGraph {
   private val lowers = mutable.HashMap.empty[Long, Int]
   private val nbrs  = ArrayBuffer.empty[LongBuf] // neighbour slots
   private val times = ArrayBuffer.empty[LongBuf] // parallel timestamps
+  private var taken = new Array[Int](0)           // slot -> batch edges `delete` has checked; zero between calls
 
   /** Slot of upper vertex `u`, or -1 if it has never been seen. */
   def upperSlot(u: Long): Int = uppers.getOrElse(u, -1)
@@ -83,19 +84,22 @@ final class StreamGraph {
     * change, so a rejected batch changes nothing.
     */
   def delete(batch: Seq[TemporalEdge]): Unit = {
-    val taken = mutable.HashMap.empty[Int, Int].withDefaultValue(0) // slot -> earlier batch edges
-    def holds(s: Int, nbr: Int, t: Long) = {
-      val k = taken(s)
-      s >= 0 && k < nbrs(s).length && nbrs(s)(k) == nbr && times(s)(k) == t
+    if (taken.length < nbrs.length) taken = new Array[Int](2 * nbrs.length)
+    def holds(s: Int, nbr: Int, t: Long) =
+      s >= 0 && taken(s) < nbrs(s).length && nbrs(s)(taken(s)) == nbr && times(s)(taken(s)) == t
+    val bad = batch.find { e =>
+      val a = upperSlot(e.u); val b = lowerSlot(e.v)
+      val ok = holds(a, b, e.t) && holds(b, a, e.t)
+      if (ok) { taken(a) += 1; taken(b) += 1 }
+      !ok
     }
-    batch.foreach { e =>
-      val a = upperSlot(e.u)
-      val b = lowerSlot(e.v)
-      require(holds(a, b, e.t) && holds(b, a, e.t),
-        s"stream graph deletes only the oldest live edge of both endpoints (got $e)")
-      taken(a) += 1; taken(b) += 1
+    // Drop each edge unless the batch is rejected, and zero `taken` again either way.
+    def settle(s: Int): Unit = if (s >= 0) {
+      if (bad.isEmpty) { nbrs(s).dropFront(1); times(s).dropFront(1) }
+      taken(s) = 0
     }
-    taken.foreach { case (s, k) => nbrs(s).dropFront(k); times(s).dropFront(k) }
+    batch.foreach { e => settle(upperSlot(e.u)); settle(lowerSlot(e.v)) }
+    require(bad.isEmpty, s"stream graph deletes only the oldest live edge of both endpoints (got ${bad.get})")
   }
 
   /** Visit live incident edges of slot `s` with timestamp in the interval

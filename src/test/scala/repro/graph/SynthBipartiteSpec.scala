@@ -75,7 +75,7 @@ class SynthBipartiteSpec extends AnyFunSuite {
     assert(Datasets.deltaSecondsOfDays(40) == Datasets.DefaultDeltaSeconds)
     assert(Datasets.deltaSecondsOfDays(0) == 0L)
     // 213,503,982,334,602 days once wrapped to 61,184 s without an error.
-    for (days <- Seq(213503982334602L, Long.MaxValue, Long.MinValue)) {
+    for (days <- Seq(213503982334602L, Long.MaxValue, Long.MinValue, -3L, -1L)) {
       val e = intercept[IllegalArgumentException](Datasets.deltaSecondsOfDays(days))
       assert(e.getMessage.contains(s"$days days"), e.getMessage)
     }
@@ -85,17 +85,22 @@ class SynthBipartiteSpec extends AnyFunSuite {
     val edges = SynthBipartite.generate(cfg.copy(nE = 300))
     val g = LocalGraph.fromEdges(edges)
     assert(g.numEdges == 300)
-    assert((0 until g.n).forall(v => (g.layer(v) == 0) == (v < g.nUpper)))
     val degByU = edges.groupBy(_.u).view.mapValues(_.size).toMap
-    for (v <- 0 until g.nUpper)
+    for (v <- 0 until g.n if g.layer(v) == 0)
       assert(g.degree(v) == degByU(g.origId(v)))
   }
 
   test("LocalGraph priorities are a strict total order aligned with degree") {
     val edges = SynthBipartite.generate(cfg.copy(nE = 500))
     val g = LocalGraph.fromEdges(edges)
-    assert(g.pri.toSet.size == g.n)
+    assert((0 until g.n).map(g.pri).toSet.size == g.n)
     for (a <- 0 until g.n; b <- 0 until g.n if g.degree(a) > g.degree(b))
       assert(g.pri(a) > g.pri(b))
+    // The id is the rank in (degree, layer, origId), whatever the edge order.
+    val key = (v: Int) => (g.degree(v), g.layer(v).toInt, g.origId(v))
+    for (v <- 1 until g.n) assert(Ordering[(Int, Int, Long)].lt(key(v - 1), key(v)))
+    val h = LocalGraph.fromEdges(new scala.util.Random(5).shuffle(edges))
+    assert(h.n == g.n && h.layer.toSeq == g.layer.toSeq && h.origId.toSeq == g.origId.toSeq)
+    assert((0 until g.n).forall(v => h.degree(v) == g.degree(v)))
   }
 }
